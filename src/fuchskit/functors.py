@@ -35,9 +35,7 @@ from .linalg import (
     jordan_block,
     jordan_form,
     poly_roots,
-    _rational_candidates,
-    _poly_is_rational,
-    _norm_poly,
+    rational_roots,
 )
 from .ratio import Rat
 from .scalar import Cyclotomic, ExponentClass, gamma, gamma_inverse
@@ -85,22 +83,6 @@ class ExponentMultiset:
 # exponent candidates
 
 
-def _rational_eigenvalues(m):
-    """Rational eigenvalues of a Cyclotomic matrix with geometric witness;
-    tolerant: non-rational eigenvalues are simply not reported."""
-    p = charpoly(m)
-    rational = _poly_is_rational(p)
-    q = rational if rational is not None else _norm_poly(p)
-    n = m.rows
-    ident = Matrix.identity(n)
-    out = []
-    for cand in _rational_candidates(q):
-        shifted = m - ident.scale(Cyclotomic.from_rat(cand))
-        if shifted.rank() < n:
-            out.append(cand)
-    return out
-
-
 def default_exponent_candidates(module):
     """Eigenvalue classes of the t^0 coefficient of G; a documented heuristic
     valid when G has no negative t-degrees (t-adically entire matrices)."""
@@ -112,7 +94,7 @@ def default_exponent_candidates(module):
                     "G has negative t-degrees; supply exponent_candidates explicitly"
                 )
     g0 = module.matrix.map(lambda f: f.coeff(0))
-    classes = [ExponentClass(r) for r in _rational_eigenvalues(g0)]
+    classes = [ExponentClass(r) for r in rational_roots(charpoly(g0))]
     classes.append(ExponentClass(0))
     return list(dict.fromkeys(classes))
 

@@ -12,11 +12,11 @@ EigenvalueNotFound instead of an approximation.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DivisionByZero, EigenvalueNotFound, NonSquare
 from .ratio import Rat, is_int
-from .scalar import Cyclotomic, euler_phi
+from .scalar import Cyclotomic, _poly_xgcd, cyclotomic_polynomial, euler_phi
 
 DEFAULT_CONDUCTOR_BOUND = 120
 
@@ -102,15 +102,6 @@ class Matrix:
     def transpose(self):
         return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def submatrix(self, drop_row, drop_col):
-        return Matrix(
-            [
-                [self.data[i][j] for j in range(self.cols) if j != drop_col]
-                for i in range(self.rows)
-                if i != drop_row
-            ]
-        )
-
     # -- ring arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -159,14 +150,6 @@ class Matrix:
                 out.append(row)
         return Matrix(out)
 
-    def trace(self):
-        if not self.is_square:
-            raise NonSquare("trace of a non-square matrix")
-        acc = self.data[0][0]
-        for i in range(1, self.rows):
-            acc = acc + self.data[i][i]
-        return acc
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -189,6 +172,7 @@ class Matrix:
         """Reduced row echelon form; pivots on the lowest column index.
         Rows are treated sparsely (zero entries of the pivot row are skipped)."""
         m = [list(row) for row in self.data]
+        one = self.ring.one()
         pivots = []
         pr = 0
         for col in range(self.cols):
@@ -201,7 +185,7 @@ class Matrix:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
             inv = m[pr][col].inverse()
-            prow = [x if x.is_zero else x * inv for x in m[pr]]
+            prow = [one if j == col else x if x.is_zero else x * inv for j, x in enumerate(m[pr])]
             m[pr] = prow
             support = [j for j, x in enumerate(prow) if not x.is_zero]
             for r in range(self.rows):
@@ -289,41 +273,52 @@ class LinearSolution:
         return self.particular is not None and not self.kernel
 
 
-def det_cofactor(m):
-    """Determinant by cofactor expansion; needs only ring operations, so it
-    also works over K[t,1/t] and the exponent ring."""
+def _berkowitz(m):
+    """Coefficients (ascending) of det(x*I - M) by Berkowitz's algorithm:
+    division-free, O(n^4) ring operations over any commutative ring.
+
+    Grows the trailing principal submatrix a[k:, k:] one row and column at a
+    time; its polynomial is a lower-triangular Toeplitz matrix with first
+    column 1, -a_kk, -R C, -R A C, -R A^2 C, ... times the previous one, where
+    R, C are row and column k beside the submatrix A = a[k+1:, k+1:].  The
+    list t below holds that column without its leading 1.
+    """
     if not m.is_square:
-        raise NonSquare("determinant of a non-square matrix")
-    n = m.rows
-    if n == 1:
-        return m.data[0][0]
-    acc = None
-    for j in range(n):
-        entry = m.data[0][j]
-        if getattr(entry, "is_zero", False):
-            continue
-        term = entry * det_cofactor(m.submatrix(0, j))
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else m.ring.zero()
+        raise NonSquare("characteristic polynomial of a non-square matrix")
+    n, a = m.rows, m.data
+    vec = [m.ring.one()]  # descending coefficients
+    for k in range(n - 1, -1, -1):
+        row = a[k][k + 1 :]
+        col = [a[i][k] for i in range(k + 1, n)]
+        t = [-a[k][k]]
+        for i in range(n - k - 1):
+            if i:
+                col = [_dot(a[r][k + 1 :], col) for r in range(k + 1, n)]
+            t.append(-_dot(row, col))
+        vec = vec[:1] + [x + _dot(t[i - 1 :: -1], vec) for i, x in enumerate(vec[1:] + [m.ring.zero()], 1)]
+    return vec[::-1]
+
+
+def det_cofactor(m):
+    """Determinant, (-1)^n times the constant coefficient of the characteristic
+    polynomial; needs only ring operations, so it also works over K[t,1/t]
+    and the exponent ring."""
+    c0 = _berkowitz(m)[0]
+    return c0 if m.rows % 2 == 0 else -c0
 
 
 def adjugate(m):
-    """Classical adjugate over a commutative ring: adj(M) * M = det(M) * I."""
-    n = m.rows
-    if n == 1:
-        return Matrix([[m.ring.one()]])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = det_cofactor(m.submatrix(j, i))
-            if (i + j) % 2:
-                c = -c
-            row.append(c)
-        out.append(row)
-    return Matrix(out)
+    """Classical adjugate over a commutative ring: adj(M) * M = det(M) * I.
+
+    By Cayley-Hamilton, adj(M) = (-1)^(n-1) (M^(n-1) + c_(n-1) M^(n-2) + ...
+    + c_1 I) for det(x*I - M) = x^n + c_(n-1) x^(n-1) + ... + c_0.
+    """
+    c = _berkowitz(m)
+    acc = Matrix.identity(m.rows, m.ring)
+    for k in range(m.rows - 1, 0, -1):  # Horner: acc * M + c_k I, and I * M = M
+        prod = m if k == m.rows - 1 else acc * m
+        acc = Matrix([[x + c[k] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(prod.data)])
+    return acc if m.rows % 2 else -acc
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +326,13 @@ def adjugate(m):
 
 
 def charpoly(m):
-    """Coefficients (ascending) of det(x*I - M), monic, by Faddeev-LeVerrier."""
-    if not m.is_square:
-        raise NonSquare("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [Cyclotomic.zero()] * (n + 1)
-    coeffs[n] = Cyclotomic.one()
-    mk = m
-    for k in range(1, n + 1):
-        ck = -(mk.trace() / Cyclotomic.from_rat(k))
-        coeffs[n - k] = ck
-        if k < n:
-            mk = m * (mk + Matrix.identity(n).scale(ck))
-    return coeffs
+    """Coefficients (ascending) of det(x*I - M), monic."""
+    return _berkowitz(m)
 
 
 def poly_eval(p, x):
-    acc = Cyclotomic.zero()
-    for c in reversed(p):
+    acc = p[-1]
+    for c in p[-2::-1]:
         acc = acc * x + c
     return acc
 
@@ -364,39 +348,6 @@ def poly_div_linear(p, lam):
     if not carry.is_zero:
         raise ArithmeticError("not a root")
     return q
-
-
-def _poly_is_rational(p):
-    vals = []
-    for c in p:
-        rv = c.rational_value
-        if rv is None:
-            return None
-        vals.append(rv)
-    return vals
-
-
-def _norm_poly(p):
-    """Product of the Galois conjugates of p; has rational coefficients."""
-    conductor = 1
-    for c in p:
-        conductor = conductor * c.n // gcd(conductor, c.n)
-    acc = [Cyclotomic.one()]
-    for j in range(1, conductor + 1):
-        if gcd(j, conductor) != 1:
-            continue
-        conj = [c.embed(conductor).galois_conjugate(j) for c in p]
-        out = [Cyclotomic.zero()] * (len(acc) + len(conj) - 1)
-        for i, a in enumerate(acc):
-            if not a.is_zero:
-                for k, b in enumerate(conj):
-                    if not b.is_zero:
-                        out[i + k] = out[i + k] + a * b
-        acc = out
-    vals = _poly_is_rational(acc)
-    if vals is None:
-        raise AssertionError("norm polynomial must be rational")
-    return vals
 
 
 def _is_probable_prime(n):
@@ -479,35 +430,35 @@ def _divisors_of(n):
     return sorted(divisors)
 
 
-def _rational_candidates(q):
-    """Rational-root-theorem candidates for a rational polynomial, ascending,
-    pruned by the Cauchy root bound."""
-    while q and q[-1] == 0:
-        q = q[:-1]
-    if len(q) <= 1:
-        return []
-    denom_lcm = 1
-    for c in q:
-        d = int(c.denominator)
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(c.numerator) * (denom_lcm // int(c.denominator)) for c in q]
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    cands = set()
-    if shift:
-        cands.add(Rat(0))
-    a0, an = ints[shift], ints[-1]
-    bound = 1 + max(Rat(abs(c)) / Rat(abs(an)) for c in ints[shift:])
-    for p in _divisors_of(a0):
-        if Rat(p) > bound * abs(an):
-            break  # divisors are ascending; p/q > bound for every q | an
-        for qd in _divisors_of(an):
-            r = Rat(p) / Rat(qd)
-            if r <= bound:
-                cands.add(r)
-                cands.add(-r)
-    return sorted(cands)
+def _rational_roots_of(q):
+    """Distinct rational roots of a nonzero rational polynomial, ascending.
+
+    Clears denominators and divides out x^k to get integer a_0, ..., a_n with
+    a_0 != 0; a nonzero root s/t in lowest terms has s | a_0, t | a_n and
+    |s/t| below the Cauchy bound, and is tested exactly in integers as
+    sum_i a_i s^i t^(n-i) = 0.
+    """
+    den = lcm(*(int(c.denominator) for c in q))
+    ints = [int(c.numerator) * (den // int(c.denominator)) for c in q]
+    while ints[-1] == 0:
+        ints.pop()
+    roots = [Rat(0)] if ints[0] == 0 and len(ints) > 1 else []
+    while ints[0] == 0:
+        ints.pop(0)
+    lead = abs(ints[-1])
+    cap = lead + max(abs(c) for c in ints)
+    for t in _divisors_of(lead):
+        for s in _divisors_of(ints[0]):
+            if gcd(s, t) > 1 or s * lead > cap * t:
+                continue
+            for r in (s, -s):
+                acc, power = ints[-1], 1
+                for c in ints[-2::-1]:
+                    power *= t
+                    acc = acc * r + c * power
+                if acc == 0:
+                    roots.append(Rat(r, t))
+    return sorted(roots)
 
 
 def _rational_poly_divides(d, q):
@@ -528,59 +479,113 @@ def _rational_poly_divides(d, q):
     return not any(r)
 
 
+def _rational_part(p):
+    """gcd over Q of the components p_i of p = sum_i z^i p_i(x), written in the
+    power basis z^i of Q(zeta_N), N the lcm of the coefficient conductors.
+
+    The basis is Q-linearly independent, so a polynomial over Q divides p
+    exactly when it divides every p_i: the rational roots of p, and the
+    cyclotomic factors Phi_d of p for d coprime to N, are those of the gcd.
+    """
+    n = lcm(*(c.n for c in p))
+    vecs = [c._embed_vec(n) for c in p]
+    parts = [q for q in ([v[i] for v in vecs] for i in range(euler_phi(n))) if any(q)]
+    g = parts[0]
+    for q in parts[1:]:
+        g = _poly_xgcd(g, q)[0]
+    return g
+
+
+def rational_roots(p):
+    """Distinct rational roots of p (Cyclotomic coefficients, not all zero),
+    ascending."""
+    return _rational_roots_of(_rational_part(p))
+
+
+def _unit_root_filter(p, n, d, exps):
+    """The exponents j of exps for which zeta_d^j can be a root of p, whose
+    coefficients lie in Q(zeta_n).
+
+    Reduces modulo a prime l = 1 (mod L), L = lcm(n, d): sending zeta_L to an
+    element w of order L in F_l is a ring map from the elements whose
+    denominators l does not divide, so it sends a root to a root.  When l
+    divides a denominator of p, every exponent is kept.
+    """
+    big = lcm(n, d)
+    ell = big + 1
+    while not _is_probable_prime(ell):
+        ell += big
+    primes = _factorize(big)
+    w, h = 1, 1
+    while any(pow(w, big // r, ell) == 1 for r in primes):
+        h += 1
+        w = pow(h, (ell - 1) // big, ell)
+    image = []
+    for c in p:
+        step, acc = big // c.n, 0
+        for i, x in enumerate(c.c):
+            if x:
+                den = int(x.denominator)
+                if den % ell == 0:
+                    return exps
+                acc += int(x.numerator) * pow(den, -1, ell) * pow(w, step * i, ell)
+        image.append(acc % ell)
+    return [j for j in exps if poly_eval(image, pow(w, big // d * j, ell)) % ell == 0]
+
+
+def _root_candidates(p, conductor_bound):
+    """Possible roots of p in Q union mu_infinity, in sort_key order: the
+    rational roots, then zeta_d^j by order d and exponent j.
+
+    zeta_d can be a root only when [Q(zeta_N, zeta_d) : Q(zeta_N)] =
+    phi(lcm(N, d)) / phi(N) is at most deg p; as phi(d) >= sqrt(d / 2), no d
+    above 2 (phi(N) deg p)^2 passes, whatever the conductor bound.
+    """
+    g = _rational_part(p)
+    for r in _rational_roots_of(g):
+        yield Cyclotomic.from_rat(r)
+    n = lcm(*(c.n for c in p))
+    width = euler_phi(n) * (len(p) - 1)
+    for d in range(3, min(conductor_bound, 2 * width**2) + 1):
+        if euler_phi(lcm(n, d)) > width:
+            continue
+        exps = [j for j in range(1, d) if gcd(j, d) == 1]
+        if gcd(n, d) > 1:
+            exps = _unit_root_filter(p, n, d, exps)
+        elif not _rational_poly_divides(cyclotomic_polynomial(d), g):
+            continue
+        for j in exps:
+            yield Cyclotomic.root_of_unity(d, j)
+
+
 def poly_roots(p, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     """All roots of p (Cyclotomic coefficients, nonzero) that lie in
-    Q union mu_infinity, with multiplicities.
+    Q union mu_infinity, with multiplicities, in sort_key order.
 
     Raises EigenvalueNotFound when the roots do not account for the full
     degree: some factor has roots outside the computable field.
     """
-    from .scalar import cyclotomic_polynomial
-
     while p and p[-1].is_zero:
         p = p[:-1]
     if len(p) <= 1:
         return []
-    rational = _poly_is_rational(p)
-    q = rational if rational is not None else _norm_poly(p)
-
     remaining = list(p)
     roots = []
-
-    for cand in _rational_candidates(q):
-        lam = Cyclotomic.from_rat(cand)
+    candidates = _root_candidates(p, conductor_bound)
+    while len(remaining) > 1:
+        lam = next(candidates, None)
+        if lam is None:
+            raise EigenvalueNotFound(
+                "characteristic polynomial has a factor of degree "
+                f"{len(remaining) - 1} with no root in Q or in roots of unity "
+                f"of conductor <= {conductor_bound}"
+            )
         mult = 0
         while len(remaining) > 1 and poly_eval(remaining, lam).is_zero:
             remaining = poly_div_linear(remaining, lam)
             mult += 1
         if mult:
             roots.append((lam, mult))
-
-    for d in range(3, conductor_bound + 1):
-        if len(remaining) <= 1:
-            break
-        if euler_phi(d) > len(q) - 1:
-            continue
-        if not _rational_poly_divides(list(cyclotomic_polynomial(d)), q):
-            continue
-        for j in range(1, d):
-            if gcd(j, d) != 1:
-                continue
-            lam = Cyclotomic.root_of_unity(d, j)
-            mult = 0
-            while len(remaining) > 1 and poly_eval(remaining, lam).is_zero:
-                remaining = poly_div_linear(remaining, lam)
-                mult += 1
-            if mult:
-                roots.append((lam, mult))
-
-    if len(remaining) > 1:
-        raise EigenvalueNotFound(
-            "characteristic polynomial has a factor of degree "
-            f"{len(remaining) - 1} with no root in Q or in roots of unity "
-            f"of conductor <= {conductor_bound}"
-        )
-    roots.sort(key=lambda t: t[0].sort_key())
     return roots
 
 
@@ -593,20 +598,13 @@ def integer_eigenvalues(m):
     """Integer eigenvalues with geometric multiplicity (no search bound
     needed: candidates come from the rational root theorem, verified by an
     exact kernel computation)."""
-    p = charpoly(m)
-    rational = _poly_is_rational(p)
-    q = rational if rational is not None else _norm_poly(p)
     n = m.rows
     ident = Matrix.identity(n)
-    out = []
-    for cand in _rational_candidates(q):
-        if not is_int(cand):
-            continue
-        shifted = m - ident.scale(Cyclotomic.from_rat(cand))
-        g = n - shifted.rank()
-        if g:
-            out.append((int(cand), g))
-    return out
+    return [
+        (int(r), n - (m - ident.scale(Cyclotomic.from_rat(r))).rank())
+        for r in rational_roots(charpoly(m))
+        if is_int(r)
+    ]
 
 
 # ---------------------------------------------------------------------------

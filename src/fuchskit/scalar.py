@@ -359,21 +359,6 @@ class Cyclotomic:
                 return (order, p)
         raise AssertionError("order found but no primitive representation")
 
-    def galois_conjugate(self, j):
-        """Image under zeta_n -> zeta_n^j, for j coprime to the conductor."""
-        if self.n == 1:
-            return self
-        if gcd(j, self.n) != 1:
-            raise ValueError("not an automorphism index")
-        table = _power_table(self.n)
-        acc = [Rat(0)] * euler_phi(self.n)
-        for i, ci in enumerate(self.c):
-            if ci:
-                for k, pk in enumerate(table[(i * j) % self.n]):
-                    if pk:
-                        acc[k] += ci * pk
-        return Cyclotomic(self.n, acc, _reduced=True)
-
     def sort_key(self):
         """Total order used for canonical eigenvalue ordering: rationals by
         value, then roots of unity by (order, exponent), then the rest."""

@@ -1,28 +1,38 @@
 """Exact matrices over the cyclotomics: charpoly, solving, Jordan form.
 
-The characteristic polynomial is checked against an independent oracle
-(permutation expansion of det(xI - M) over the polynomial ring); Jordan data
-is verified by exact reconstruction P^-1 M P = J.
+The characteristic polynomial, determinant and adjugate are checked against
+an independent oracle (permutation expansion of det(xI - M) over the
+polynomial ring, and of det(M) over the Laurent ring); Jordan data is
+verified by exact reconstruction P^-1 M P = J.
 """
 
+import random
+import time
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cyclotomics
 
 from fuchskit.errors import EigenvalueNotFound, NonSquare
+from fuchskit.generate import Sizes, rand_laurent, rand_shearing_gauge
+from fuchskit.laurent import LaurentPoly
 from fuchskit.linalg import (
     Matrix,
+    adjugate,
     charpoly,
+    det_cofactor,
     eigenvalues,
     integer_eigenvalues,
     jordan_block,
     jordan_form,
+    poly_roots,
 )
 from fuchskit.ratio import Rat
-from fuchskit.scalar import Cyclotomic
+from fuchskit.scalar import Cyclotomic, cyclotomic_polynomial
 
 C = Cyclotomic.from_rat
 
@@ -53,7 +63,7 @@ def _perm_sign(perm):
 
 
 def charpoly_oracle(m):
-    """det(x*I - M) by permutation expansion; independent of Faddeev-LeVerrier."""
+    """det(x*I - M) by permutation expansion; independent of Berkowitz."""
     n = m.rows
     entries = [
         [
@@ -70,6 +80,17 @@ def charpoly_oracle(m):
         sign = _perm_sign(perm)
         for k, c in enumerate(prod):
             total[k] = total[k] + (c if sign > 0 else -c)
+    return total
+
+
+def det_oracle(m):
+    """det(M) by permutation expansion, over any commutative ring."""
+    total = m.ring.zero()
+    for perm in permutations(range(m.rows)):
+        prod = m.ring.one()
+        for i in range(m.rows):
+            prod = prod * m.data[i][perm[i]]
+        total = total + prod if _perm_sign(perm) > 0 else total - prod
     return total
 
 
@@ -92,10 +113,14 @@ class TestCharpoly:
         with pytest.raises(NonSquare):
             charpoly(Matrix([[C(1), C(0)]]))
 
-    @given(cyclotomics(), cyclotomics(), cyclotomics(), cyclotomics())
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.lists(st.lists(cyclotomics(), min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    )
     @settings(max_examples=25, deadline=None)
-    def test_matches_permutation_oracle(self, a, b, c, d):
-        m = Matrix([[a, b], [c, d]])
+    def test_matches_permutation_oracle(self, rows):
+        m = Matrix(rows)
         assert charpoly(m) == charpoly_oracle(m)
 
     @given(cyclotomics(), cyclotomics(), cyclotomics(), cyclotomics())
@@ -108,6 +133,105 @@ class TestCharpoly:
             acc = acc + power.scale(coeff)
             power = power * m
         assert acc == Matrix.zeros(2, 2)
+
+
+class TestDeterminantAndAdjugate:
+    """Over the Laurent ring, from seeded shearing gauges (unit determinant)
+    and the same gauges plus a random Laurent matrix (any determinant)."""
+
+    def test_against_permutation_oracle(self):
+        rng = random.Random(7)
+        sizes = Sizes()
+        for dim in range(1, 7):
+            h = rand_shearing_gauge(rng, sizes, dim)
+            noise = Matrix([[rand_laurent(rng, sizes) for _ in range(dim)] for _ in range(dim)])
+            for m in (h, h + noise):
+                det = det_cofactor(m)
+                assert det == det_oracle(m)
+                ident = Matrix.identity(dim, LaurentPoly)
+                assert adjugate(m) * m == ident.scale(det)
+                assert m * adjugate(m) == ident.scale(det)
+
+    def test_non_square_raises(self):
+        with pytest.raises(NonSquare):
+            det_cofactor(Matrix([[C(1), C(0)]]))
+
+
+def _from_roots(roots):
+    p = [Cyclotomic.one()]
+    for lam in roots:
+        p = _poly_mul(p, [-lam, Cyclotomic.one()])
+    return p
+
+
+def _assert_canonical(roots):
+    keys = [lam.sort_key() for lam, _ in roots]
+    assert keys == sorted(keys)
+
+
+class TestPolyRoots:
+    """One case per branch of the norm-free root search."""
+
+    def test_rational_root_beside_cyclotomic_coefficients(self):
+        z5 = Cyclotomic.root_of_unity(5)
+        roots = poly_roots(_from_roots([C(Rat(1, 2)), z5]))
+        assert roots == [(C(Rat(1, 2)), 1), (z5, 1)]
+        _assert_canonical(roots)
+
+    def test_order_coprime_to_conductor(self):
+        # Phi_5(x) (x - zeta_3): the coprime order 5 is found from the
+        # rational part of the coefficients
+        z3 = Cyclotomic.root_of_unity(3)
+        p = _poly_mul([C(c) for c in cyclotomic_polynomial(5)], [-z3, Cyclotomic.one()])
+        roots = poly_roots(p)
+        assert roots == [(z3, 1)] + [(Cyclotomic.root_of_unity(5, j), 1) for j in range(1, 5)]
+        _assert_canonical(roots)
+
+    def test_order_sharing_a_factor_with_conductor(self):
+        # x^2 - i over Q(i): roots of order 8, which does not divide 4
+        i = Cyclotomic.root_of_unity(4)
+        roots = poly_roots([-i, C(0), C(1)])
+        assert roots == [(Cyclotomic.root_of_unity(8, 1), 1), (Cyclotomic.root_of_unity(8, 5), 1)]
+        _assert_canonical(roots)
+
+    def test_prime_filter_skipped_on_its_denominator(self):
+        # (x - 1/17)(x^2 - i): the filter for order 8 works modulo 17
+        i = Cyclotomic.root_of_unity(4)
+        roots = poly_roots(_poly_mul([C(Rat(-1, 17)), C(1)], [-i, C(0), C(1)]))
+        assert roots == [(C(Rat(1, 17)), 1), (Cyclotomic.root_of_unity(8, 1), 1), (Cyclotomic.root_of_unity(8, 5), 1)]
+        _assert_canonical(roots)
+
+    def test_repeated_root(self):
+        z7 = Cyclotomic.root_of_unity(7)
+        assert poly_roots(_from_roots([z7, z7])) == [(z7, 2)]
+
+    def test_recovers_seeded_root_multisets(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            picks = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.3:
+                    picks.append(C(Rat(rng.randint(-4, 4), rng.randint(1, 3))))
+                else:
+                    d = rng.choice([3, 4, 5, 6, 8, 10, 12])
+                    picks.append(Cyclotomic.root_of_unity(d, rng.choice([j for j in range(1, d) if gcd(j, d) == 1])))
+            expected = {}
+            for lam in picks:
+                expected[lam.sort_key()] = (lam, expected.get(lam.sort_key(), (lam, 0))[1] + 1)
+            assert poly_roots(_from_roots(picks)) == [expected[k] for k in sorted(expected)]
+
+    def test_irrational_roots_raise(self):
+        with pytest.raises(EigenvalueNotFound):
+            poly_roots([C(-2), C(0), C(1)])
+
+    def test_search_bounded_by_degree_not_conductor_bound(self):
+        # eigenvalues +-sqrt(2): no order above 2 (phi(1) * 2)^2 can give a
+        # root, so a huge conductor bound costs nothing
+        m = Matrix([[C(0), C(2)], [C(1), C(0)]])
+        start = time.perf_counter()
+        with pytest.raises(EigenvalueNotFound):
+            eigenvalues(m, 10**12)
+        assert time.perf_counter() - start < 1
 
 
 class TestSolve:
