@@ -22,7 +22,7 @@ from .functors import (
     mon_hom_compare,
     rm,
 )
-from .diffmod import ext_dim, horizontal_hom
+from .diffmod import DiffModule, ext_dim, horizontal_hom
 from .generate import Sizes
 from .linalg import DEFAULT_CONDUCTOR_BOUND
 from .sigmamod import trivialize
@@ -177,31 +177,22 @@ def _run_command(args):
         else:
             raise InputError('operator must be "dsigma" or "partial"')
         return {"solution": jsonio.encode_expring(solution)}
-    if args.command == "hom":
-        m1, m2 = _pair_input(doc)
-        cf1 = ensure_constant_form(m1, **_search_options(args))
-        cf2 = ensure_constant_form(m2, **_search_options(args))
-        from .diffmod import DiffModule
-
-        space = horizontal_hom(
-            DiffModule.from_constant(cf1.constant),
-            DiffModule.from_constant(cf2.constant),
-            bound,
+    if args.command in ("hom", "ext"):
+        # a constant module is its own constant form, so nothing below
+        # searches again
+        c1, c2 = (
+            DiffModule.from_constant(ensure_constant_form(m, **_search_options(args)).constant)
+            for m in _pair_input(doc)
         )
-        report = mon_hom_compare(m1, m2, conductor_bound=bound, **_search_options(args))
+        if args.command == "ext":
+            return {"dimension": ext_dim(c1, c2)}
+        space = horizontal_hom(c1, c2, bound)
+        report = mon_hom_compare(c1, c2, conductor_bound=bound)
         return {
             "dimension": space.dimension,
             "basis": [jsonio.encode_matrix(f, jsonio.encode_laurent) for f in space.basis],
             "mon_comparison": report,
         }
-    if args.command == "ext":
-        m1, m2 = _pair_input(doc)
-        cf1 = ensure_constant_form(m1, **_search_options(args))
-        cf2 = ensure_constant_form(m2, **_search_options(args))
-        from .diffmod import DiffModule
-
-        dim = ext_dim(DiffModule.from_constant(cf1.constant), DiffModule.from_constant(cf2.constant))
-        return {"dimension": dim}
     if args.command == "trivialize":
         v = jsonio.decode_sigmamodule(doc)
         b = trivialize(v, conductor_bound=bound)

@@ -23,9 +23,9 @@ from .laurent import LaurentPoly
 from .linalg import (
     DEFAULT_CONDUCTOR_BOUND,
     Matrix,
-    adjugate,
     charpoly,
-    det_cofactor,
+    det_and_adjugate,
+    det_cofactor,  # re-exported: part of this module's public names
     integer_eigenvalues,
     jordan_form,
     poly_roots,
@@ -59,13 +59,13 @@ def constant_matrix_of(m):
     return Matrix(out)
 
 
-def laurent_matrix_inverse(m, det=None):
+def laurent_matrix_inverse(m):
     """Inverse of a matrix over K[t,1/t]; defined exactly when det is a unit."""
-    det = det if det is not None else det_cofactor(m)
+    det, adj = det_and_adjugate(m)
     if not det.is_unit:
         raise NotInvertibleOverA(f"determinant {det!r} is not a unit of K[t,1/t]")
     det_inv = det.unit_inverse()
-    return adjugate(m).map(lambda x: x * det_inv)
+    return adj.map(lambda x: x * det_inv)
 
 
 class DiffModule:
@@ -229,21 +229,26 @@ def twist_derivation(m, h):
 # solutions of constant-matrix modules
 
 
-def _block_fundamental(a_value, size):
-    """t^{-a} * exp(-ell N) for the Jordan block J(a, size): the columns are
-    horizontal for the connection v -> partial(v) + J(a,size) v."""
-    t_neg_a = ExpRingElem.t_power(-a_value)
+def exp_ell_n(size, sign):
+    """exp(sign * ell * N) over E_A for the nilpotent part N of a Jordan block:
+    upper triangular Toeplitz with sign^j ell^j / j! on the j-th diagonal."""
     ell = ExpRingElem.ell_var()
     z = ExpRingElem.zero()
-    entries = [[z for _ in range(size)] for _ in range(size)]
+    entries = [[z] * size for _ in range(size)]
     ell_pow = ExpRingElem.one()
     for j in range(size):
-        coeff = Rat((-1) ** j, factorial(j))
-        term = t_neg_a * ell_pow * coeff
+        term = ell_pow * Rat(sign**j, factorial(j))
         for i in range(size - j):
             entries[i][i + j] = term
         ell_pow = ell_pow * ell
     return Matrix(entries)
+
+
+def _block_fundamental(a_value, size):
+    """t^{-a} * exp(-ell N) for the Jordan block J(a, size): the columns are
+    horizontal for the connection v -> partial(v) + J(a,size) v."""
+    t_neg_a = ExpRingElem.t_power(-a_value)
+    return exp_ell_n(size, -1).map(lambda e: t_neg_a * e)
 
 
 def fundamental_matrix(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
@@ -272,10 +277,6 @@ def expring_matrix_is_horizontal(u, g):
     g_e = g.map(lambda x: ExpRingElem.from_laurent(x) if isinstance(x, LaurentPoly) else ExpRingElem.from_scalar(x))
     du = u.map(lambda x: x.partial())
     return du == -(g_e * u)
-
-
-def expring_det(u):
-    return det_cofactor(u)
 
 
 def expring_unit_inverse(x):

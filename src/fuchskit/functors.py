@@ -13,8 +13,11 @@ from math import factorial
 
 from .diffmod import (
     DiffModule,
+    HorizontalSpace,
     base_change,
+    constant_matrix_of,
     dual,
+    exp_ell_n,
     horizontal_hom,
     match_left_factor,
     tensor,
@@ -133,15 +136,15 @@ def _row_coordinates(rows):
     return out
 
 
-def _row_solution_chains(g, search_class, lo, hi, nil_index):
-    """All horizontal rows w = sum_k w_k ell^k of class a within the seed
-    window: w_0 ranges over ker(T^nil) and w_{k+1} = -T(w_k)/(k+1)."""
+def _row_solution_chains(g, search_class, bound):
+    """All horizontal rows w = sum_k w_k ell^k of class a with seeds in the
+    window [-bound, bound]: w_0 ranges over ker(T^n), w_{k+1} = -T(w_k)/(k+1)."""
     n = g.rows
     a_scalar = Cyclotomic.from_rat(search_class.value)
     zero_row = [LaurentPoly.zero()] * n
 
     seeds = []
-    for d in range(lo, hi + 1):
+    for d in range(-bound, bound + 1):
         for i in range(n):
             row = list(zero_row)
             row[i] = LaurentPoly.t_power(d)
@@ -150,19 +153,12 @@ def _row_solution_chains(g, search_class, lo, hi, nil_index):
     images = []
     for seed in seeds:
         img = seed
-        for _ in range(nil_index):
+        for _ in range(n):
             img = _apply_row_operator(g, a_scalar, img)
         images.append(img)
 
-    if all(all(f.is_zero for f in img) for img in images):
-        combos = [[Cyclotomic.one() if i == s else Cyclotomic.zero() for i in range(len(seeds))] for s in range(len(seeds))]
-    else:
-        coord_rows = _row_coordinates(images)
-        mat = Matrix(coord_rows).transpose()
-        combos = mat.nullspace()
-
     chains = []
-    for combo in combos:
+    for combo in Matrix(_row_coordinates(images)).transpose().nullspace():
         w0 = list(zero_row)
         for c, seed in zip(combo, seeds):
             if not c.is_zero:
@@ -174,7 +170,7 @@ def _row_solution_chains(g, search_class, lo, hi, nil_index):
             if all(f.is_zero for f in img):
                 break
             k += 1
-            if k >= nil_index:
+            if k >= n:
                 raise AssertionError("chain does not terminate at the nilpotency bound")
             scale = Cyclotomic.from_rat(Rat(-1, k))
             chain.append([f * scale for f in img])
@@ -191,17 +187,34 @@ def _chain_to_expring_row(chain, search_class):
     return out
 
 
-def _row_fundamental_block(lam, a_class, size):
-    """Row fundamental matrix of J(a, size) with monodromy exactly J(lam, size):
-    W = t^{-a} Z0 exp(-ell N), rows of Z0: lam^i e_1^T X^i, X = exp(-N) - I."""
+def _section_search(module, g, exponent_candidates, laurent_degree_bound):
+    """Rows w over E_A with partial(w) + w g = 0 found by the seed-chain search
+    (g is G for row sections, G^T for column sections), grouped by search
+    class in increasing order, and the exponent candidates searched."""
+    module.require_standard_derivation()
+    if exponent_candidates is None:
+        candidates = default_exponent_candidates(module)
+    else:
+        candidates = [ExponentClass(a) for a in exponent_candidates]
+    search_classes = sorted(dict.fromkeys(-a for a in candidates), key=lambda a: a.value)
+    rows = []
+    for sc in search_classes:
+        for chain in _row_solution_chains(g, sc, laurent_degree_bound):
+            rows.append(_chain_to_expring_row(chain, sc))
+    return rows, candidates
+
+
+def _inverse_row_fundamental_block(lam, a_class, size):
+    """Inverse of the row fundamental matrix W = t^{-a} Z0 exp(-ell N) of
+    J(a, size) with monodromy exactly J(lam, size), where the rows of Z0 are
+    lam^i e_1^T X^i, X = exp(-N) - I; that is, exp(ell N) Z0^-1 t^a."""
     zero_c, one_c = Cyclotomic.zero(), Cyclotomic.one()
-
-    exp_neg_n = [[zero_c] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            exp_neg_n[i][j] = Cyclotomic.from_rat(Rat((-1) ** (j - i), factorial(j - i)))
-    x = Matrix(exp_neg_n) - Matrix.identity(size)
-
+    x = Matrix(
+        [
+            [Cyclotomic.from_rat(Rat((-1) ** (j - i), factorial(j - i))) if j > i else zero_c for j in range(size)]
+            for i in range(size)
+        ]
+    )
     rows = []
     current = [one_c] + [zero_c] * (size - 1)
     lam_pow = one_c
@@ -209,35 +222,16 @@ def _row_fundamental_block(lam, a_class, size):
         rows.append([lam_pow * c for c in current])
         current = (Matrix([current]) * x).data[0] if i + 1 < size else current
         lam_pow = lam_pow * lam
-    z0 = Matrix(rows)
+    z0_inv_e = Matrix(rows).inverse().map(ExpRingElem.from_scalar)
 
-    ell = ExpRingElem.ell_var()
-    z = ExpRingElem.zero()
-    exp_neg = [[z] * size for _ in range(size)]
-    exp_pos = [[z] * size for _ in range(size)]
-    ell_pow = ExpRingElem.one()
-    for j in range(size):
-        neg = ell_pow * Rat((-1) ** j, factorial(j))
-        pos = ell_pow * Rat(1, factorial(j))
-        for i in range(size - j):
-            exp_neg[i][i + j] = neg
-            exp_pos[i][i + j] = pos
-        ell_pow = ell_pow * ell
-
-    t_neg = ExpRingElem.t_power(-a_class.value)
     t_pos = ExpRingElem.t_power(a_class.value)
-    z0_e = z0.map(ExpRingElem.from_scalar)
-    z0_inv_e = z0.inverse().map(ExpRingElem.from_scalar)
-    w_block = (z0_e * Matrix(exp_neg)).map(lambda e: e * t_neg)
-    w_inv_block = (Matrix(exp_pos) * z0_inv_e).map(lambda e: e * t_pos)
-    return w_block, w_inv_block
+    return (exp_ell_n(size, 1) * z0_inv_e).map(lambda e: e * t_pos)
 
 
 def find_constant_form(
     module,
     exponent_candidates=None,
     laurent_degree_bound=DEFAULT_DEGREE_BOUND,
-    ell_degree_bound=None,
     conductor_bound=DEFAULT_CONDUCTOR_BOUND,
 ):
     """Search for a gauge H over A making the connection matrix constant.
@@ -254,28 +248,14 @@ def find_constant_form(
     This is a semi-decision procedure: NotRegularWithinBounds means absence
     within the bounds, not a proof of irregularity.
     """
-    module.require_standard_derivation()
-    g = module.matrix
     n = module.dim
-
-    if exponent_candidates is None:
-        candidates = default_exponent_candidates(module)
-    else:
-        candidates = [ExponentClass(a) for a in exponent_candidates]
-    search_classes = list(dict.fromkeys(-a for a in candidates))
-
-    nil_index = n if ell_degree_bound is None else max(1, min(n, ell_degree_bound + 1))
-    lo, hi = -laurent_degree_bound, laurent_degree_bound
-
-    rows = []
-    for sc in sorted(search_classes, key=lambda a: a.value):
-        for chain in _row_solution_chains(g, sc, lo, hi, nil_index):
-            rows.append(_chain_to_expring_row(chain, sc))
+    rows, candidates = _section_search(module, module.matrix, exponent_candidates, laurent_degree_bound)
     if len(rows) < n:
         shown = ", ".join(str(a) for a in sorted(candidates, key=lambda a: a.value))
         raise NotFoundWithinBounds(
             f"found {len(rows)} independent horizontal sections (need {n}) "
-            f"within degree window [{lo},{hi}] for exponent candidates [{shown}]"
+            f"within degree window [{-laurent_degree_bound},{laurent_degree_bound}] "
+            f"for exponent candidates [{shown}]"
         )
     if len(rows) > n:
         raise AssertionError("solution space exceeds the rank; this is a bug")
@@ -292,8 +272,7 @@ def find_constant_form(
     c_blocks = []
     for lam, size in jd.blocks:
         a_b = gamma_inverse(lam.inverse())
-        _, w_inv_block = _row_fundamental_block(lam, a_b, size)
-        w_c_inv_blocks.append(w_inv_block)
+        w_c_inv_blocks.append(_inverse_row_fundamental_block(lam, a_b, size))
         c_blocks.append(jordan_block(a_b.as_cyclotomic(), size))
 
     h_e = Matrix.block_diag(w_c_inv_blocks, ring=ExpRingElem) * w_tilde
@@ -309,8 +288,7 @@ def find_constant_form(
     h = Matrix(h_rows)
 
     c = Matrix.block_diag(c_blocks)
-    det = det_cofactor(h)
-    if not det.is_unit:
+    if not det_cofactor(h).is_unit:
         raise AssertionError("reconstructed gauge is not invertible over A")
     if base_change(module, h).matrix != c.map(LaurentPoly.from_scalar):
         raise AssertionError("constant form verification failed; this is a bug")
@@ -320,8 +298,6 @@ def find_constant_form(
 def ensure_constant_form(module, **opts):
     """Identity gauge for an already-constant matrix, else the bounded search."""
     module.require_standard_derivation()
-    from .diffmod import constant_matrix_of
-
     c = constant_matrix_of(module.matrix)
     if c is not None:
         return ConstantForm(gauge=Matrix.identity(module.dim, LaurentPoly), constant=c)
@@ -332,7 +308,6 @@ def horizontal_sections(
     module,
     exponent_candidates=None,
     laurent_degree_bound=DEFAULT_DEGREE_BOUND,
-    ell_degree_bound=None,
 ):
     """Basis of the solution space (M (x) E_A)^{nabla=0} within bounds.
 
@@ -341,32 +316,17 @@ def horizontal_sections(
     seed-chain search as find_constant_form.  Every returned vector is
     re-checked exactly against the defining equation.
     """
-    from .diffmod import HorizontalSpace
-
-    module.require_standard_derivation()
     g = module.matrix
-    gt = g.transpose()
     n = module.dim
-    if exponent_candidates is None:
-        candidates = default_exponent_candidates(module)
-    else:
-        candidates = [ExponentClass(a) for a in exponent_candidates]
-    search_classes = list(dict.fromkeys(-a for a in candidates))
-    nil_index = n if ell_degree_bound is None else max(1, min(n, ell_degree_bound + 1))
-    lo, hi = -laurent_degree_bound, laurent_degree_bound
-
+    basis, _ = _section_search(module, g.transpose(), exponent_candidates, laurent_degree_bound)
     g_e = g.map(ExpRingElem.from_laurent)
-    basis = []
-    for sc in sorted(search_classes, key=lambda a: a.value):
-        for chain in _row_solution_chains(gt, sc, lo, hi, nil_index):
-            v = _chain_to_expring_row(chain, sc)
-            image = [x.partial() for x in v]
-            for i in range(n):
-                for j in range(n):
-                    image[i] = image[i] + g_e.data[i][j] * v[j]
-            if any(not x.is_zero for x in image):
-                raise AssertionError("section fails the defining equation; this is a bug")
-            basis.append(v)
+    for v in basis:
+        image = [x.partial() for x in v]
+        for i in range(n):
+            for j in range(n):
+                image[i] = image[i] + g_e.data[i][j] * v[j]
+        if any(not x.is_zero for x in image):
+            raise AssertionError("section fails the defining equation; this is a bug")
     return HorizontalSpace(basis=basis)
 
 
@@ -453,7 +413,10 @@ def fuchs_decomposition(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts)
 # comparison reports
 
 
-def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND, max_trials=40):
+_WITNESS_TRIALS = 40  # rungs of the coefficient ladder (i+1)^trial tried before giving up
+
+
+def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     """An explicit invertible horizontal morphism M1 -> M2 over A, or None.
 
     Scans deterministic integer combinations of the horizontal Hom basis;
@@ -466,8 +429,7 @@ def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND, max_
     for f in space.basis:
         if det_cofactor(f).is_unit:
             return f
-    k = len(space.basis)
-    for trial in range(1, max_trials + 1):
+    for trial in range(1, _WITNESS_TRIALS + 1):
         combo = Matrix.zeros(m2.dim, m1.dim, LaurentPoly)
         for i, f in enumerate(space.basis):
             combo = combo + f.map(lambda x: x * Cyclotomic.from_rat((i + 1) ** trial))

@@ -307,8 +307,9 @@ def det_cofactor(m):
     return c0 if m.rows % 2 == 0 else -c0
 
 
-def adjugate(m):
-    """Classical adjugate over a commutative ring: adj(M) * M = det(M) * I.
+def det_and_adjugate(m):
+    """det(M) and the classical adjugate, adj(M) * M = det(M) * I, from one
+    characteristic polynomial.
 
     By Cayley-Hamilton, adj(M) = (-1)^(n-1) (M^(n-1) + c_(n-1) M^(n-2) + ...
     + c_1 I) for det(x*I - M) = x^n + c_(n-1) x^(n-1) + ... + c_0.
@@ -318,7 +319,12 @@ def adjugate(m):
     for k in range(m.rows - 1, 0, -1):  # Horner: acc * M + c_k I, and I * M = M
         prod = m if k == m.rows - 1 else acc * m
         acc = Matrix([[x + c[k] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(prod.data)])
-    return acc if m.rows % 2 else -acc
+    return (-c[0], acc) if m.rows % 2 else (c[0], -acc)
+
+
+def adjugate(m):
+    """Classical adjugate over a commutative ring: adj(M) * M = det(M) * I."""
+    return det_and_adjugate(m)[1]
 
 
 # ---------------------------------------------------------------------------

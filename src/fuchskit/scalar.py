@@ -283,11 +283,19 @@ class Cyclotomic:
         return Cyclotomic._make(self.n, tuple(-x for x in self.c))
 
     def __mul__(self, other):
-        if isinstance(other, Cyclotomic) and other.n == 1 and self.n == 1:
-            return Cyclotomic._make(1, (self.c[0] * other.c[0],))
+        if not isinstance(other, Cyclotomic):
+            other = Cyclotomic.from_rat(other)
+        if other.n == 1 or self.n == 1:
+            # a rational factor scales the other's coordinates: no embedding,
+            # no convolution, and the same demotion as the general product
+            r, x = (other.c[0], self) if other.n == 1 else (self.c[0], other)
+            if r == 1:
+                return x
+            cs = tuple(ci * r if ci else ci for ci in x.c)
+            if x.n > 1 and not any(cs[1:]):
+                return Cyclotomic._make(1, cs[:1])
+            return Cyclotomic._make(x.n, cs)
         m, a, b = self._pair(other)
-        if m == 1:
-            return Cyclotomic._make(1, (a[0] * b[0],))
         prod = [Rat(0)] * (2 * len(a) - 1)
         for i, x in enumerate(a):
             if x:

@@ -9,7 +9,7 @@ d_sigma system for the remaining log-polynomial coefficients.
 
 from .errors import DimensionMismatch, ZeroEigenvalue
 from .expring import ExpRingElem, solve_dsigma
-from .linalg import DEFAULT_CONDUCTOR_BOUND, Matrix, jordan_form
+from .linalg import DEFAULT_CONDUCTOR_BOUND, Matrix, det_cofactor, jordan_form
 from .scalar import as_cyclotomic, gamma_inverse
 from .diffmod import _sylvester_operator
 
@@ -25,7 +25,7 @@ class SigmaModule:
             monodromy = Matrix([[as_cyclotomic(x) for x in row] for row in monodromy])
         if not monodromy.is_square:
             raise DimensionMismatch("monodromy must be square")
-        if monodromy.rank() != monodromy.rows:
+        if det_cofactor(monodromy).is_zero:
             raise ZeroEigenvalue("monodromy must be invertible")
         object.__setattr__(self, "monodromy", monodromy)
 

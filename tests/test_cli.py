@@ -73,6 +73,30 @@ class TestCommands:
         code, out = run_cli(capsys, "ext", "--json", pair)
         assert json.loads(out) == {"dimension": 1}
 
+    def test_hom_searches_each_constant_form_once(self, capsys, monkeypatch):
+        from fuchskit import functors, jsonio
+        from fuchskit.diffmod import DiffModule, base_change, laurent_matrix
+        from fuchskit.laurent import LaurentPoly
+
+        calls = []
+        search = functors.find_constant_form
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(functors, "find_constant_form", counted)
+        t, t_inv = LaurentPoly.t_power(1), LaurentPoly.t_power(-1)
+        c = DiffModule(laurent_matrix([["1/2", 1], [0, "1/2"]]))
+        left = base_change(c, laurent_matrix([[t, 0], [1, t_inv]]))
+        right = base_change(c, laurent_matrix([[1, t], [0, 1]]))
+        pair = json.dumps({"left": jsonio.encode_diffmodule(left), "right": jsonio.encode_diffmodule(right)})
+        code, out = run_cli(capsys, "hom", "--json", pair, "--exponent-candidates", "1/2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dimension"] == 2 and doc["mon_comparison"]["ok"]
+        assert len(calls) == 2
+
     def test_trivialize(self, capsys):
         v = '{"dim": 1, "monodromy": [["-1"]]}'
         code, out = run_cli(capsys, "trivialize", "--json", v)

@@ -169,6 +169,13 @@ class TestConstantForm:
                 LaurentPoly.from_scalar
             )
 
+    def test_zero_module_in_the_one_seed_window(self):
+        # T annihilates the only seed, so the whole seed space is the kernel
+        cf = find_constant_form(rank_one(0), laurent_degree_bound=0)
+        assert cf.gauge == Matrix([[LaurentPoly.one()]])
+        assert cf.constant == Matrix([[C(0)]])
+        assert horizontal_sections(rank_one(0), laurent_degree_bound=0).dimension == 1
+
     def test_default_candidates_require_entire_matrix(self):
         m = DiffModule(laurent_matrix([[LaurentPoly.t_power(-1)]]))
         with pytest.raises(MissingCandidates):

@@ -24,6 +24,7 @@ from fuchskit.linalg import (
     Matrix,
     adjugate,
     charpoly,
+    det_and_adjugate,
     det_cofactor,
     eigenvalues,
     integer_eigenvalues,
@@ -151,6 +152,13 @@ class TestDeterminantAndAdjugate:
                 ident = Matrix.identity(dim, LaurentPoly)
                 assert adjugate(m) * m == ident.scale(det)
                 assert m * adjugate(m) == ident.scale(det)
+
+    def test_det_and_adjugate_from_one_charpoly(self):
+        rng = random.Random(11)
+        sizes = Sizes()
+        for dim in range(1, 6):
+            m = rand_shearing_gauge(rng, sizes, dim)
+            assert det_and_adjugate(m) == (det_cofactor(m), adjugate(m))
 
     def test_non_square_raises(self):
         with pytest.raises(NonSquare):

@@ -59,6 +59,28 @@ class TestCyclotomic:
         s = z3 + z3 ** 2  # equals -1
         assert s.n == 1 and s.rational_value == -1
 
+    @pytest.mark.parametrize("n", [1, 7, 12, 2003])
+    def test_rational_factor_matches_general_product(self, n):
+        # oracle: convolution of the coordinate vectors with the embedded
+        # rational, reduced and demoted by the constructor
+        def general_product(x, r):
+            b = [(0, Rat(r))]
+            prod = [Rat(0)] * (2 * len(x.c) - 1)
+            for i, xi in enumerate(x.c):
+                for j, bj in b:
+                    prod[i + j] += xi * bj
+            return Cyclotomic(x.n, prod)
+
+        phi = len(Cyclotomic(n, [0, 1]).c) if n > 1 else 1
+        x = Cyclotomic(n, [Rat(i % 5 - 2, i % 3 + 1) for i in range(phi)])
+        assert x.n == n
+        for r in (Rat(0), Rat(1), Rat(-3, 7), 5):
+            expected = general_product(x, r)
+            for got in (x * Cyclotomic.from_rat(r), Cyclotomic.from_rat(r) * x, x * r, r * x):
+                assert (got.n, got.c) == (expected.n, expected.c)
+        zero = x * Cyclotomic.zero()
+        assert (zero.n, zero.c) == (1, (Rat(0),))
+
     @given(cyclotomics(), cyclotomics())
     @settings(max_examples=60, deadline=None)
     def test_arithmetic_matches_complex_embedding(self, x, y):
