@@ -76,12 +76,12 @@ def build_parser():
         if name != "verify":
             p.add_argument("--input", help="path to the JSON input ('-' for stdin)")
             p.add_argument("--json", dest="inline", help="inline JSON input")
-        p.add_argument(
-            "--conductor-bound",
-            type=int,
-            default=_conductor_bound_default(),
-            help="largest root-of-unity order searched for eigenvalues",
-        )
+            p.add_argument(
+                "--conductor-bound",
+                type=int,
+                default=_conductor_bound_default(),
+                help="largest root-of-unity order searched for eigenvalues",
+            )
     for name in ("exponents", "mon", "constant-form", "fuchs", "hom", "ext"):
         parsers[name].add_argument(
             "--exponent-candidates",
@@ -116,7 +116,7 @@ def _read_input(args):
 
 
 def _search_options(args):
-    opts = {}
+    opts = {"conductor_bound": args.conductor_bound}
     if getattr(args, "exponent_candidates", None):
         opts["exponent_candidates"] = [
             jsonio.decode_exponent_class(part.strip(), "exponent candidate")
@@ -136,20 +136,20 @@ def _pair_input(doc):
 
 
 def _run_command(args):
-    bound = args.conductor_bound
     if args.command == "verify":
         sizes = Sizes(max_dim=args.max_dim)
         only = None if args.suite == "all" else args.suite
         return run_suite(seed=args.seed, cases=args.cases, sizes=sizes, only=only)
 
+    bound = args.conductor_bound
     doc = _read_input(args)
     if args.command == "exponents":
         module = jsonio.decode_diffmodule(doc)
-        ms = exponents(module, conductor_bound=bound, **_search_options(args))
+        ms = exponents(module, **_search_options(args))
         return {"exponents": jsonio.encode_exponent_multiset(ms)}
     if args.command == "mon":
         module = jsonio.decode_diffmodule(doc)
-        return jsonio.encode_sigmamodule(mon(module, conductor_bound=bound, **_search_options(args)))
+        return jsonio.encode_sigmamodule(mon(module, **_search_options(args)))
     if args.command == "rm":
         v = jsonio.decode_sigmamodule(doc)
         return jsonio.encode_diffmodule(rm(v, conductor_bound=bound))
@@ -159,7 +159,7 @@ def _run_command(args):
         return jsonio.encode_constant_form(cf)
     if args.command == "fuchs":
         module = jsonio.decode_diffmodule(doc)
-        fd = fuchs_decomposition(module, conductor_bound=bound, **_search_options(args))
+        fd = fuchs_decomposition(module, **_search_options(args))
         return {
             "gauge": jsonio.encode_matrix(fd.gauge, jsonio.encode_laurent),
             "triangular": jsonio.encode_matrix(fd.triangular, jsonio.encode_cyclotomic),

@@ -162,10 +162,6 @@ class GroupAlgElem:
             return NotImplemented
         return self.parts == other.parts
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     # -- derivation and monodromy -------------------------------------------
 
     def partial(self):
@@ -343,10 +339,6 @@ class ExpRingElem:
         if other is None:
             return NotImplemented
         return self.ell == other.ell
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     # -- derivation and monodromy -------------------------------------------
 

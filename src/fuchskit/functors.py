@@ -334,18 +334,16 @@ def horizontal_sections(
 # the equivalence
 
 
-def _constant_form_or_not_regular(module, **opts):
+def _constant_form_or_not_regular(module, conductor_bound, **opts):
     try:
-        return ensure_constant_form(module, **opts)
-    except NotRegularWithinBounds:
-        raise
+        return ensure_constant_form(module, conductor_bound=conductor_bound, **opts)
     except NotFoundWithinBounds as exc:
         raise NotRegularWithinBounds(str(exc)) from exc
 
 
 def mon(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
     """The monodromy representation: J(a, n) blocks become J(gamma(-a), n)."""
-    cf = _constant_form_or_not_regular(module, **opts)
+    cf = _constant_form_or_not_regular(module, conductor_bound, **opts)
     jd = jordan_form(cf.constant, conductor_bound)
     blocks = []
     for a, size in jd.blocks:
@@ -366,7 +364,7 @@ def rm(v, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
 
 def exponents(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
     """Eigenvalues of a constant form, reduced mod Z, with multiplicity."""
-    cf = _constant_form_or_not_regular(module, **opts)
+    cf = _constant_form_or_not_regular(module, conductor_bound, **opts)
     roots = poly_roots(charpoly(cf.constant), conductor_bound)
     classes = []
     for lam, mult in roots:
@@ -391,7 +389,7 @@ class FuchsDecomposition:
 def fuchs_decomposition(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
     """Jordan-Hoelder data: compose the constant form with a constant
     conjugation to Jordan shape, exposing the flag of rank-one sub-quotients."""
-    cf = _constant_form_or_not_regular(module, **opts)
+    cf = _constant_form_or_not_regular(module, conductor_bound, **opts)
     jd = jordan_form(cf.constant, conductor_bound)
     p_inv = jd.transform.inverse().map(LaurentPoly.from_scalar)
     gauge = p_inv * cf.gauge
@@ -441,8 +439,8 @@ def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
 def mon_hom_compare(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
     """Check dim Hom^nabla(M, N) = dim Hom^Z(Mon M, Mon N), plus the exponent
     arithmetic of tensor and dual.  Returns a report dict."""
-    cf1 = _constant_form_or_not_regular(m1, **opts)
-    cf2 = _constant_form_or_not_regular(m2, **opts)
+    cf1 = _constant_form_or_not_regular(m1, conductor_bound, **opts)
+    cf2 = _constant_form_or_not_regular(m2, conductor_bound, **opts)
     c1 = DiffModule.from_constant(cf1.constant)
     c2 = DiffModule.from_constant(cf2.constant)
     d_hom = horizontal_hom(c1, c2, conductor_bound).dimension

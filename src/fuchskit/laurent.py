@@ -175,10 +175,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == LaurentPoly({0: c}).terms
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     # -- the derivation ----------------------------------------------------
 
     def partial(self):

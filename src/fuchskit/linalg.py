@@ -16,7 +16,16 @@ from math import gcd, lcm
 
 from .errors import DivisionByZero, EigenvalueNotFound, NonSquare
 from .ratio import Rat, is_int
-from .scalar import Cyclotomic, _poly_xgcd, cyclotomic_polynomial, euler_phi
+from .scalar import (
+    Cyclotomic,
+    _divmod_monic,
+    _factorize,
+    _is_probable_prime,
+    _poly_xgcd,
+    cyclotomic_polynomial,
+    divisors,
+    euler_phi,
+)
 
 DEFAULT_CONDUCTOR_BOUND = 120
 
@@ -158,10 +167,6 @@ class Matrix:
             and self.cols == other.cols
             and all(a == b for r1, r2 in zip(self.data, other.data) for a, b in zip(r1, r2))
         )
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __repr__(self):
         return "Matrix(" + "; ".join(", ".join(repr(x) for x in row) for row in self.data) + ")"
@@ -356,86 +361,6 @@ def poly_div_linear(p, lam):
     return q
 
 
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic Miller-Rabin witnesses for n < 3.3 * 10^24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
-    import random as _random
-
-    rng = _random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _factorize(n):
-    """Prime factorization as a dict; small trial division then Pollard rho."""
-    factors = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 17
-    while d * d <= n and d < 100000:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def _divisors_of(n):
-    n = abs(n)
-    if n == 0:
-        return []
-    divisors = [1]
-    for p, e in _factorize(n).items():
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    return sorted(divisors)
-
-
 def _rational_roots_of(q):
     """Distinct rational roots of a nonzero rational polynomial, ascending.
 
@@ -453,8 +378,8 @@ def _rational_roots_of(q):
         ints.pop(0)
     lead = abs(ints[-1])
     cap = lead + max(abs(c) for c in ints)
-    for t in _divisors_of(lead):
-        for s in _divisors_of(ints[0]):
+    for t in divisors(lead):
+        for s in divisors(abs(ints[0])):
             if gcd(s, t) > 1 or s * lead > cap * t:
                 continue
             for r in (s, -s):
@@ -465,24 +390,6 @@ def _rational_roots_of(q):
                 if acc == 0:
                     roots.append(Rat(r, t))
     return sorted(roots)
-
-
-def _rational_poly_divides(d, q):
-    """Does the integer polynomial d divide the rational polynomial q?"""
-    q = list(q)
-    while q and q[-1] == 0:
-        q.pop()
-    if len(q) < len(d):
-        return False
-    r = q[:]
-    lead = Rat(d[-1])
-    for i in range(len(r) - len(d), -1, -1):
-        c = r[i + len(d) - 1] / lead
-        if c:
-            r[i + len(d) - 1] = Rat(0)
-            for j in range(len(d) - 1):
-                r[i + j] -= c * d[j]
-    return not any(r)
 
 
 def _rational_part(p):
@@ -558,7 +465,7 @@ def _root_candidates(p, conductor_bound):
         exps = [j for j in range(1, d) if gcd(j, d) == 1]
         if gcd(n, d) > 1:
             exps = _unit_root_filter(p, n, d, exps)
-        elif not _rational_poly_divides(cyclotomic_polynomial(d), g):
+        elif any(_divmod_monic(g, cyclotomic_polynomial(d))[1]):
             continue
         for j in exps:
             yield Cyclotomic.root_of_unity(d, j)

@@ -4,7 +4,7 @@ All coefficients in the package are exact rationals.  When gmpy2 is
 installed its C-implemented ``mpq`` is used for speed; otherwise the stdlib
 ``fractions.Fraction`` is a drop-in replacement (same str() format, same
 hashing, cross-type equality).  Set FUCHS_KIT_PURE_PYTHON=1 to force the
-pure-Python backend, e.g. for the backend benchmark.
+pure-Python backend even where gmpy2 is installed.
 """
 
 import os

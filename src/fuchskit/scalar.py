@@ -8,7 +8,8 @@ is no floating point anywhere.
 
 gamma is the concrete exponential isomorphism on torsion exponents:
 gamma(p/q) = zeta_q^p, a group homomorphism Q/Z -> roots of unity, with
-gamma_inverse recovering p/q from the multiplicative order.
+gamma_inverse reading p/q off the coordinates: the roots of unity in
+Q(zeta_N) are the +-zeta_N^j.
 """
 
 from math import gcd, lcm
@@ -24,50 +25,109 @@ _CYCLO_CACHE = {}
 _POWER_CACHE = {}
 
 
+def _is_probable_prime(n):
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # deterministic Miller-Rabin witnesses for n < 3.3 * 10^24
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n):
+    if n % 2 == 0:
+        return 2
+    import random as _random
+
+    rng = _random.Random(n)
+    while True:
+        c = rng.randrange(1, n)
+        x = y = rng.randrange(2, n)
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(abs(x - y), n)
+        if d != n:
+            return d
+
+
+def _factorize(n):
+    """Prime factorization of n >= 1 as a dict; small trial division then
+    Pollard rho."""
+    factors = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    d = 17
+    while d * d <= n and d < 100000:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 2
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if _is_probable_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        d = _pollard_rho(m)
+        stack.append(d)
+        stack.append(m // d)
+    return factors
+
+
 def euler_phi(n):
-    if n in _PHI_CACHE:
-        return _PHI_CACHE[n]
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
+    if n not in _PHI_CACHE:
+        result = n
+        for p in _factorize(n):
             result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    _PHI_CACHE[n] = result
-    return result
+        _PHI_CACHE[n] = result
+    return _PHI_CACHE[n]
 
 
 def divisors(n):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """Positive divisors of n >= 1, ascending."""
+    result = [1]
+    for p, e in _factorize(n).items():
+        result = [d * p**k for d in result for k in range(e + 1)]
+    return sorted(result)
 
 
-def _int_poly_div(num, den):
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= den[-1]
-        q[i] = c
+def _divmod_monic(num, den):
+    """Quotient and remainder of num by the monic integer polynomial den
+    (ascending coefficients; num over ints or rationals).  The remainder has
+    at most deg den coefficients."""
+    k = len(den) - 1
+    terms = [(j, d) for j, d in enumerate(den[:k]) if d]
+    r = list(num)
+    q = [0] * max(len(r) - k, 0)
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
         if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-zero remainder")
-    return q
+            q[i - k] = c
+            for j, d in terms:
+                r[i - k + j] -= c * d
+    return q, r[:k]
 
 
 def cyclotomic_polynomial(n):
@@ -75,9 +135,10 @@ def cyclotomic_polynomial(n):
     if n in _CYCLO_CACHE:
         return _CYCLO_CACHE[n]
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n):
-        if d != n:
-            poly = _int_poly_div(poly, cyclotomic_polynomial(d))
+    for d in divisors(n)[:-1]:
+        poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
+        if any(rem):
+            raise AssertionError("Phi_d does not divide x^n - 1; this is a bug")
     poly = tuple(poly)
     _CYCLO_CACHE[n] = poly
     return poly
@@ -85,17 +146,8 @@ def cyclotomic_polynomial(n):
 
 def _reduce_mod_cyclo(coeffs, n):
     """Reduce a rational polynomial modulo Phi_n; return exactly phi(n) coords."""
-    k = euler_phi(n)
-    phi_poly = cyclotomic_polynomial(n)
-    cs = list(coeffs)
-    for i in range(len(cs) - 1, k - 1, -1):
-        c = cs[i]
-        if c:
-            cs[i] = Rat(0)
-            for j in range(k):  # Phi is monic of degree k
-                cs[i - k + j] -= c * phi_poly[j]
-    cs = cs[:k]
-    cs.extend(Rat(0) for _ in range(k - len(cs)))
+    cs = _divmod_monic(coeffs, cyclotomic_polynomial(n))[1]
+    cs.extend(Rat(0) for _ in range(euler_phi(n) - len(cs)))
     return cs
 
 
@@ -231,9 +283,12 @@ class Cyclotomic:
             return list(self.c)
         if m % self.n:
             raise ValueError("can only embed into a multiple conductor")
+        acc = [Rat(0)] * euler_phi(m)
+        if self.n == 1:
+            acc[0] = self.c[0]
+            return acc
         table = _power_table(m)
         step = m // self.n
-        acc = [Rat(0)] * euler_phi(m)
         for i, ci in enumerate(self.c):
             if ci:
                 for j, pj in enumerate(table[(step * i) % m]):
@@ -343,29 +398,27 @@ class Cyclotomic:
         _, a, b = self._pair(other)
         return list(a) == list(b)
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     # -- roots of unity ----------------------------------------------------
 
     def as_root_of_unity(self):
-        """Minimal (q, p) with self = zeta_q^p and gcd(p, q) = 1, or None."""
-        rv = self.rational_value
-        if rv is not None:
-            if rv == 1:
-                return (1, 0)
-            if rv == -1:
-                return (2, 1)
+        """Minimal (q, p) with self = zeta_q^p and gcd(p, q) = 1, or None.
+
+        The roots of unity in Q(zeta_n) are the +-zeta_n^j, 0 <= j < n, and
+        +-zeta_n^j = zeta_2n^k with k = 2j, or 2j + n for the negated one.
+        """
+        n = self.n
+        neg = tuple(-x for x in self.c)
+        for j, row in enumerate(_power_table(n)):
+            if row == self.c:
+                k = 2 * j
+                break
+            if row == neg:
+                k = (2 * j + n) % (2 * n)
+                break
+        else:
             return None
-        m = self.n if self.n % 2 == 0 else 2 * self.n
-        if (self**m) != _ONE:
-            return None
-        order = next(d for d in divisors(m) if (self**d) == _ONE)
-        for p in range(1, order):
-            if gcd(p, order) == 1 and self == Cyclotomic.root_of_unity(order, p):
-                return (order, p)
-        raise AssertionError("order found but no primitive representation")
+        g = gcd(k, 2 * n)
+        return (2 * n // g, k // g)
 
     def sort_key(self):
         """Total order used for canonical eigenvalue ordering: rationals by

@@ -1,6 +1,11 @@
 """CLI behavior: commands, determinism, exit codes, the mutant check."""
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from fuchskit.cli import main
 
@@ -165,6 +170,45 @@ class TestExitCodes:
     def test_missing_input_is_two(self, capsys):
         code, out = run_cli(capsys, "exponents")
         assert code == 2
+
+
+def sheared_fifth_json():
+    """The module [[1/5, 1], [0, 1/5]] sheared by [[t, 1], [0, 1]]: its
+    constant-form search meets eigenvalues of conductor 5."""
+    from fuchskit import jsonio
+    from fuchskit.diffmod import DiffModule, base_change, laurent_matrix
+    from fuchskit.laurent import LaurentPoly
+
+    c = DiffModule(laurent_matrix([["1/5", 1], [0, "1/5"]]))
+    m = base_change(c, laurent_matrix([[LaurentPoly.t_power(1), 1], [0, 1]]))
+    return json.dumps(jsonio.encode_diffmodule(m))
+
+
+class TestConductorBound:
+    @pytest.mark.parametrize("command", ["mon", "exponents", "constant-form", "fuchs", "hom", "ext"])
+    def test_bound_reaches_the_search(self, capsys, command):
+        m = sheared_fifth_json()
+        doc = m if command not in ("hom", "ext") else f'{{"left": {m}, "right": {m}}}'
+        argv = (command, "--json", doc, "--exponent-candidates", "1/5")
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out = run_cli(capsys, *argv, "--conductor-bound", "3")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "EigenvalueNotFound"
+
+    def test_environment_default(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fuchskit"].__file__)))
+        env = dict(os.environ, FUCHS_KIT_CONDUCTOR_BOUND="3", PYTHONPATH=src)
+        argv = ["mon", "--json", sheared_fifth_json(), "--exponent-candidates", "1/5"]
+        proc = subprocess.run([sys.executable, "-m", "fuchskit.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "EigenvalueNotFound"
+
+    def test_verify_takes_no_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--conductor-bound", "3"])
+        assert exc.value.code == 2
 
 
 class TestMutantDetection:

@@ -12,7 +12,7 @@ from fuchskit.diffmod import (
     rank_one,
     tensor,
 )
-from fuchskit.errors import MissingCandidates, NotFoundWithinBounds
+from fuchskit.errors import EigenvalueNotFound, MissingCandidates, NotFoundWithinBounds
 from fuchskit.functors import (
     ExponentMultiset,
     default_exponent_candidates,
@@ -256,6 +256,32 @@ class TestMonHomCompare:
             t = isomorphism(dleft, dright)
             assert t is not None
             assert t * dleft.monodromy * t.inverse() == dright.monodromy
+
+
+class TestConductorBound:
+    """The conductor bound also bounds the eigenvalue search of the section
+    monodromy inside the constant-form search."""
+
+    @staticmethod
+    def sheared_fifth():
+        # the section monodromy has the eigenvalue zeta_5^4, of conductor 5
+        t = LaurentPoly.t_power(1)
+        c = DiffModule(laurent_matrix([["1/5", 1], [0, "1/5"]]))
+        return base_change(c, laurent_matrix([[t, 1], [0, 1]]))
+
+    def test_default_bound_finds_conductor_five(self):
+        v = mon(self.sheared_fifth(), exponent_candidates=[ExponentClass(Rat(1, 5))])
+        assert v.monodromy.data[0][0].n == 5
+
+    @pytest.mark.parametrize("functor", [mon, exponents, fuchs_decomposition])
+    def test_bound_reaches_the_search(self, functor):
+        with pytest.raises(EigenvalueNotFound):
+            functor(self.sheared_fifth(), conductor_bound=3, exponent_candidates=[ExponentClass(Rat(1, 5))])
+
+    def test_bound_reaches_mon_hom_compare(self):
+        m = self.sheared_fifth()
+        with pytest.raises(EigenvalueNotFound):
+            mon_hom_compare(m, m, conductor_bound=3, exponent_candidates=[ExponentClass(Rat(1, 5))])
 
 
 class TestExtensionSplitting:
