@@ -29,11 +29,8 @@ from .expring import (
     ExpRingElem,
     GroupAlgElem,
     binom_ell,
-    d_sigma,
     from_binomial_basis,
     kernel_checks,
-    partial_e,
-    sigma_e,
     solve_dsigma,
     solve_partial,
     to_binomial_basis,

@@ -15,6 +15,7 @@ from . import jsonio
 from .errors import FuchsKitError, InputError
 from .expring import solve_dsigma, solve_partial
 from .functors import (
+    DEFAULT_DEGREE_BOUND,
     ensure_constant_form,
     exponents,
     fuchs_decomposition,
@@ -90,7 +91,7 @@ def build_parser():
         parsers[name].add_argument(
             "--degree-bound",
             type=int,
-            default=8,
+            default=DEFAULT_DEGREE_BOUND,
             help="Laurent degree window for the constant-form search",
         )
     parsers["verify"].add_argument("--suite", default="all", help="property id prefix or 'all'")

@@ -98,10 +98,6 @@ class DiffModule:
     def from_constant(cls, matrix):
         return cls(matrix.map(LaurentPoly.from_scalar))
 
-    @classmethod
-    def unit(cls):
-        return rank_one(0)
-
     @property
     def dim(self):
         return self.matrix.rows
@@ -296,18 +292,15 @@ def expring_unit_inverse(x):
 
 def match_right_factor(u, v):
     """The constant matrix R with V = U * R (columns of V in the span of the
-    columns of U over K); raises if no exact unique solution exists."""
-    ucols = [u.column(j) for j in range(u.cols)]
-    vcols = [v.column(j) for j in range(v.cols)]
-    coords = _expring_coordinates(ucols + vcols)
-    basis = Matrix([[col[i] for col in (coords[: len(ucols)])] for i in range(len(coords[0]))])
-    rows = []
-    for j in range(len(vcols)):
-        sol = basis.solve(coords[len(ucols) + j])
-        if sol.is_empty or sol.kernel:
-            raise ArithmeticError("no unique constant factor")
-        rows.append(sol.particular)
-    return Matrix(rows).transpose()
+    columns of U over K); raises if no exact unique solution exists.
+
+    One rref of the coordinates of [U | V]: R is unique exactly when the
+    pivots are the columns of U, and it is then the top right block."""
+    coords = _expring_coordinates(u.columns() + v.columns())
+    red, pivots = Matrix.from_columns(coords).rref()
+    if pivots != tuple(range(u.cols)):
+        raise ArithmeticError("no unique constant factor")
+    return Matrix([row[u.cols :] for row in red.data[: u.cols]])
 
 
 def match_left_factor(w, v):

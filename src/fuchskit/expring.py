@@ -79,9 +79,6 @@ class GroupAlgElem:
         """The a = 0 component (an element of A)."""
         return self.component(0)
 
-    def without_class_zero(self):
-        return GroupAlgElem({a: f for a, f in self.parts.items() if not a.is_zero})
-
     def as_laurent(self):
         """Coerce to A; None when a nonzero class is present."""
         if any(not a.is_zero for a in self.parts):
@@ -322,18 +319,6 @@ class ExpRingElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative powers are not defined in E_A")
-        result = ExpRingElem.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def __eq__(self, other):
         other = self._coerced(other)
         if other is None:
@@ -377,22 +362,6 @@ class ExpRingElem:
                 continue
             parts.append(f"[{g!r}]" + (f"*l^{k}" if k > 1 else "*l" if k == 1 else ""))
         return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# module-level operation aliases
-
-
-def partial_e(x):
-    return x.partial()
-
-
-def sigma_e(x):
-    return x.sigma()
-
-
-def d_sigma(x):
-    return x.dsigma()
 
 
 # ---------------------------------------------------------------------------

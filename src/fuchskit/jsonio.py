@@ -66,7 +66,10 @@ def decode_cyclotomic(doc, name="cyclotomic"):
     _expect_dict(doc, name, ("conductor", "coeffs"))
     n = _expect_int(doc["conductor"], f"{name}.conductor", 1)
     coeffs = doc["coeffs"]
-    if not isinstance(coeffs, list) or len(coeffs) != euler_phi(n):
+    size = len(coeffs) if isinstance(coeffs, list) else 0
+    if n > 2 * max(size, 1) ** 2:  # phi(n) >= sqrt(n / 2) > size: refuse before factoring n
+        raise InputError(f"{name}.coeffs: expected a list of phi({n}) rationals, more than {size}")
+    if not isinstance(coeffs, list) or size != euler_phi(n):
         raise InputError(f"{name}.coeffs: expected a list of {euler_phi(n)} rationals")
     return Cyclotomic(n, [decode_rat(x, f"{name}.coeffs[{i}]") for i, x in enumerate(coeffs)], _reduced=True)
 

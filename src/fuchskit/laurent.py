@@ -72,10 +72,6 @@ class LaurentPoly:
         return min(self.terms) if self.terms else None
 
     @property
-    def max_degree(self):
-        return max(self.terms) if self.terms else None
-
-    @property
     def is_constant(self):
         return not self.terms or set(self.terms) == {0}
 
@@ -154,18 +150,6 @@ class LaurentPoly:
         return result
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.unit_inverse() ** (-e)
-        result = LaurentPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the cyclotomic scalars.
 
 Matrix is generic over any commutative ring element type exposing zero()/
-one() classmethods and the usual operators; field algorithms (rref, solve,
+one() classmethods and the usual operators; field algorithms (rref,
 inverse, Jordan form) additionally need .inverse() on entries, which
 Cyclotomic provides.
 
@@ -91,13 +91,6 @@ class Matrix:
     @property
     def is_square(self):
         return self.rows == self.cols
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i):
-        return list(self.data[i])
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -225,20 +218,6 @@ class Matrix:
             basis.append(vec)
         return basis
 
-    def solve(self, b):
-        """Full solution set of self * x = b (LinearSolution)."""
-        if len(b) != self.rows:
-            raise ValueError("shape mismatch")
-        aug = Matrix([list(row) + [bi] for row, bi in zip(self.data, b)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return LinearSolution(None, [])
-        zero = self.ring.zero()
-        particular = [zero] * self.cols
-        for r, pc in enumerate(pivots):
-            particular[pc] = red.data[r][self.cols]
-        return LinearSolution(particular, self.nullspace())
-
     def inverse(self):
         if not self.is_square:
             raise NonSquare("inverse of a non-square matrix")
@@ -260,22 +239,6 @@ def _dot(xs, ys):
     for x, y in it:
         acc = acc + x * y
     return acc
-
-
-@dataclass
-class LinearSolution:
-    """particular is None iff the system is inconsistent (empty solution set)."""
-
-    particular: object
-    kernel: list
-
-    @property
-    def is_empty(self):
-        return self.particular is None
-
-    @property
-    def is_unique(self):
-        return self.particular is not None and not self.kernel
 
 
 def _berkowitz(m):
@@ -545,81 +508,40 @@ def jordan_block(lam, n):
     )
 
 
-def _stack_rank(vectors):
-    if not vectors:
-        return 0
-    return Matrix(vectors).rank()
-
-
-def _pick_vector(small_basis, big_basis):
-    """First vector of big_basis independent from span(small_basis)."""
-    base_rank = _stack_rank(small_basis)
-    for v in big_basis:
-        if _stack_rank(small_basis + [v]) > base_rank:
-            return v
-    raise AssertionError("no independent vector found")
-
-
 def jordan_form(m, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     """Exact Jordan normal form with transformation matrix.
 
-    Blocks are sorted by (canonical eigenvalue order, size descending); the
-    generalized eigenvector chains are chosen deterministically (lowest
-    column pivoting in every kernel computation).
+    Blocks are sorted by (canonical eigenvalue order, size descending).  For
+    each eigenvalue lam, with E = M - lam, every kernel ker E^k is computed
+    once, as a nullspace basis, until its dimension reaches the algebraic
+    multiplicity.  The chain tops of size s, from the largest size down, are
+    the vectors of the ker E^s basis, in basis order, that are independent of
+    ker E^(s-1) and of the chains already built: the pivot columns of one
+    rref.  A top v contributes the columns E^(s-1) v, ..., E v, v.
     """
     if not m.is_square:
         raise NonSquare("Jordan form of a non-square matrix")
-    n = m.rows
-    eigs = eigenvalues(m, conductor_bound)
-    ident = Matrix.identity(n)
-
+    ident = Matrix.identity(m.rows)
     blocks = []
     basis_columns = []
-    for lam, mult in eigs:
+    for lam, mult in eigenvalues(m, conductor_bound):
         e1 = m - ident.scale(lam)
-        powers = {1: e1}
-
-        def epow(k):
-            if k == 0:
-                return ident
-            if k not in powers:
-                powers[k] = epow(k - 1) * e1
-            return powers[k]
-
-        nullities = [0]
-        nullity = n - e1.rank()
-        k = 2
-        while nullity != nullities[-1]:
-            nullities.append(nullity)
-            if nullity == mult:
-                break
-            nullity = n - epow(k).rank()
-            k += 1
-
-        if len(nullities) > 1:
-            mid = [
-                2 * nullities[i] - nullities[i - 1] - nullities[i + 1]
-                for i in range(1, len(nullities) - 1)
-            ]
-            end = [nullities[-1] - nullities[-2]]
-            counts = mid + end
-        else:
-            counts = []
-        sizes = []
-        for size_minus_1, count in reversed(list(enumerate(counts))):
-            sizes.extend([size_minus_1 + 1] * count)
-
-        eig_basis = []
-        for size in sizes:
-            null_big = epow(size).nullspace()
-            null_small = epow(size - 1).nullspace() if size > 1 else []
-            v = _pick_vector(null_small + eig_basis, null_big)
-            chain = [v]
-            for _ in range(size - 1):
-                chain.append(e1 * chain[-1])
-            eig_basis.extend(chain)
-            basis_columns.extend(reversed(chain))
-            blocks.append((lam, size))
-
-    p = Matrix.from_columns(basis_columns)
-    return JordanData(blocks=blocks, transform=p)
+        power, kernels = e1, [[], e1.nullspace()]
+        while len(kernels[-1]) < mult:
+            power = power * e1
+            kernels.append(power.nullspace())
+            if len(kernels[-1]) == len(kernels[-2]):
+                raise AssertionError("generalized eigenspace smaller than the multiplicity")
+        chains = []
+        for size in range(len(kernels) - 1, 0, -1):
+            known = kernels[size - 1] + chains
+            for col in Matrix.from_columns(known + kernels[size]).rref()[1]:
+                if col < len(known):
+                    continue
+                chain = [kernels[size][col - len(known)]]
+                for _ in range(size - 1):
+                    chain.append(e1 * chain[-1])
+                chains.extend(chain)
+                basis_columns.extend(reversed(chain))
+                blocks.append((lam, size))
+    return JordanData(blocks=blocks, transform=Matrix.from_columns(basis_columns))

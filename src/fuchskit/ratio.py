@@ -25,16 +25,6 @@ else:
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
-
-def rat(p, q=None):
-    """Exact rational p/q."""
-    if q is None:
-        return Rat(p)
-    return Rat(p) / Rat(q)
-
 
 def rat_from_str(s):
     """Parse the canonical "p/q" (or "p") wire form. Raises ValueError."""

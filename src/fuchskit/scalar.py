@@ -269,10 +269,6 @@ class Cyclotomic:
         return not any(self.c)
 
     @property
-    def is_one(self):
-        return self.n == 1 and self.c[0] == 1
-
-    @property
     def rational_value(self):
         """The value as a Rat when the element lies in Q, else None."""
         return self.c[0] if self.n == 1 else None

@@ -171,6 +171,17 @@ class TestExitCodes:
         code, out = run_cli(capsys, "exponents")
         assert code == 2
 
+    def test_huge_conductor_is_two_without_factoring(self):
+        # two 19-digit prime factors: Pollard rho would need ~10^9 steps,
+        # but one coefficient cannot fill a conductor above 2
+        cell = '{"conductor": 1000000001000000090000000003000000261, "coeffs": ["1"]}'
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fuchskit"].__file__)))
+        proc = subprocess.run([sys.executable, "-m", "fuchskit.cli", "rm", "--json",
+                               f'{{"dim": 1, "monodromy": [[{cell}]]}}'],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=2)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "InvalidInput"
+
 
 def sheared_fifth_json():
     """The module [[1/5, 1], [0, 1/5]] sheared by [[t, 1], [0, 1]]: its

@@ -213,6 +213,37 @@ class TestFundamentalMatrix:
             assert jordan_form(r).blocks == jordan_form(mon(m).monodromy).blocks
 
 
+class TestMatchRightFactor:
+    E = ExpRingElem
+    ELL, ROOT_T = E.ell_var(), E.t_power(Rat(1, 2))
+
+    def scalar(self, q):
+        return self.E.from_scalar(C(q))
+
+    def basis(self):
+        # columns (1, ell) and (t^(1/2), 1)
+        return Matrix([[self.E.one(), self.ROOT_T], [self.ELL, self.E.one()]])
+
+    def test_unique_factor(self):
+        # V = U R for R = [[2, -1], [1/3, 0]], written out by hand
+        v = Matrix([
+            [self.scalar(2) + self.ROOT_T * self.scalar(Rat(1, 3)), self.scalar(-1)],
+            [self.ELL * self.scalar(2) + self.scalar(Rat(1, 3)), -self.ELL],
+        ])
+        r = Matrix([[C(2), C(-1)], [C(Rat(1, 3)), C(0)]])
+        assert match_right_factor(self.basis(), v) == r
+
+    def test_dependent_columns_of_u_raise(self):
+        u = Matrix([[self.E.one(), self.scalar(2)], [self.ELL, self.ELL * self.scalar(2)]])
+        with pytest.raises(ArithmeticError, match="no unique constant factor"):
+            match_right_factor(u, u)
+
+    def test_column_outside_the_span_raises(self):
+        v = Matrix([[self.E.one(), self.E.t_power(Rat(1))], [self.ELL, self.E.zero()]])
+        with pytest.raises(ArithmeticError, match="no unique constant factor"):
+            match_right_factor(self.basis(), v)
+
+
 class TestHorizontalHom:
     def test_endomorphisms_of_rank_one(self):
         assert horizontal_hom(rank_one(Rat(1, 3)), rank_one(Rat(1, 3))).dimension == 1

@@ -1,4 +1,4 @@
-"""Exact matrices over the cyclotomics: charpoly, solving, Jordan form.
+"""Exact matrices over the cyclotomics: charpoly, eigenvalues, Jordan form.
 
 The characteristic polynomial, determinant and adjugate are checked against
 an independent oracle (permutation expansion of det(xI - M) over the
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import cyclotomics
 
+from fuchskit import jsonio
 from fuchskit.errors import EigenvalueNotFound, NonSquare
 from fuchskit.generate import Sizes, rand_laurent, rand_shearing_gauge
 from fuchskit.laurent import LaurentPoly
@@ -242,24 +243,6 @@ class TestPolyRoots:
         assert time.perf_counter() - start < 1
 
 
-class TestSolve:
-    def test_identity(self):
-        m = Matrix.identity(3)
-        b = [C(1), C(2), C(3)]
-        sol = m.solve(b)
-        assert sol.particular == b and not sol.kernel
-
-    def test_rank_one_system(self):
-        m = Matrix([[C(1), C(1)], [C(1), C(1)]])
-        sol = m.solve([C(1), C(1)])
-        assert sol.particular == [C(1), C(0)]
-        assert sol.kernel == [[C(-1), C(1)]]
-
-    def test_inconsistent_is_empty(self):
-        m = Matrix([[C(1)], [C(0)]])
-        assert m.solve([C(0), C(1)]).is_empty
-
-
 class TestJordan:
     def test_nilpotent_block(self):
         m = Matrix([[C(0), C(1)], [C(0), C(0)]])
@@ -319,6 +302,84 @@ class TestJordan:
         m = Matrix([[C(1), C(1)], [C(1), C(0)]])
         with pytest.raises(EigenvalueNotFound):
             eigenvalues(m)
+
+
+def _integer_gauge(n):
+    """A fixed unimodular integer matrix L * U with entries in {-1, 0, 1}."""
+    lower = Matrix([[C(1) if i == j else C((i * j + i) % 3 - 1) if i > j else C(0) for j in range(n)] for i in range(n)])
+    upper = Matrix([[C(1) if i == j else C((i + 2 * j) % 3 - 1) if i < j else C(0) for j in range(n)] for i in range(n)])
+    return lower * upper
+
+
+def _encoded(x):
+    """Short form of an encoded cyclotomic: "p/q" for conductor 1, else
+    (conductor, coeffs)."""
+    return {"conductor": 1, "coeffs": [x]} if isinstance(x, str) else {"conductor": x[0], "coeffs": x[1]}
+
+
+_Z12 = Cyclotomic.root_of_unity(12)
+
+# (blocks of J, expected blocks, expected transform) of jordan_form(G J G^-1)
+# for the integer gauge G above; J lists its blocks out of canonical order.
+PINNED_JORDAN = {
+    "three_equal": (
+        [(C(2), 2)] * 3,
+        [("2", 2), ("2", 2), ("2", 2)],
+        [
+            ["3", "1", "3", "0", "0", "0"],
+            ["1", "0", "2", "1", "-1", "0"],
+            ["2", "0", "4", "0", "-1", "0"],
+            ["-5", "0", "-7", "0", "2", "0"],
+            ["0", "0", "0", "0", "0", "1"],
+            ["2", "0", "1", "0", "1", "0"],
+        ],
+    ),
+    "three_one_one": (
+        [(C(Rat(1, 2)), 1), (C(Rat(1, 2)), 3), (C(-1), 1), (C(Rat(1, 2)), 1)],
+        [("-1", 1), ("1/2", 3), ("1/2", 1), ("1/2", 1)],
+        [
+            ["1/2", "1", "-2", "0", "-2/5", "-2/5"],
+            ["-1/2", "1", "-1", "1", "-2/5", "3/5"],
+            ["1/2", "1", "-1", "0", "-3/5", "-3/5"],
+            ["1/2", "-2", "2", "0", "1", "0"],
+            ["0", "1", "-2", "0", "0", "1"],
+            ["1", "1", "-3", "0", "0", "0"],
+        ],
+    ),
+    "conductor_12": (
+        [(_Z12 ** 5, 1), (_Z12, 2), (_Z12, 1), (_Z12 ** 5, 2)],
+        [((12, ["0", "1", "0", "0"]), 2), ((12, ["0", "1", "0", "0"]), 1),
+         ((12, ["0", "-1", "0", "1"]), 2), ((12, ["0", "-1", "0", "1"]), 1)],
+        [
+            ["1", "1", "0", "1/3", "-4/9", "-1/3"],
+            ["1", "-2", "-1", "-1/3", "5/9", "-1/3"],
+            ["1", "-2", "-1", "1/3", "-7/9", "-1/3"],
+            ["-2", "0", "1", "1/3", "0", "1"],
+            ["1", "1", "0", "0", "1", "0"],
+            ["1", "0", "0", "2/3", "0", "0"],
+        ],
+    ),
+}
+
+
+class TestPinnedJordan:
+    """The chain tops are part of the output: any other choice of top gives
+    another transform, and the CLI prints the gauges built from it."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_JORDAN))
+    def test_blocks_and_transform(self, name):
+        given, blocks, transform = PINNED_JORDAN[name]
+        j = Matrix.block_diag([jordan_block(lam, size) for lam, size in given])
+        g = _integer_gauge(j.rows)
+        m = g * j * g.inverse()
+        jd = jordan_form(m)
+        assert [[jsonio.encode_cyclotomic(lam), size] for lam, size in jd.blocks] == [
+            [_encoded(lam), size] for lam, size in blocks
+        ]
+        assert jsonio.encode_matrix(jd.transform, jsonio.encode_cyclotomic) == [
+            [_encoded(x) for x in row] for row in transform
+        ]
+        assert jd.transform.inverse() * m * jd.transform == jd.jordan_matrix()
 
 
 class TestIntegerEigenvalues:
