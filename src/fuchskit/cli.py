@@ -16,11 +16,11 @@ from .errors import FuchsKitError, InputError
 from .expring import solve_dsigma, solve_partial
 from .functors import (
     DEFAULT_DEGREE_BOUND,
+    _hom_report,
     ensure_constant_form,
     exponents,
     fuchs_decomposition,
     mon,
-    mon_hom_compare,
     rm,
 )
 from .diffmod import DiffModule, ext_dim, horizontal_hom
@@ -188,11 +188,10 @@ def _run_command(args):
         if args.command == "ext":
             return {"dimension": ext_dim(c1, c2)}
         space = horizontal_hom(c1, c2, bound)
-        report = mon_hom_compare(c1, c2, conductor_bound=bound)
         return {
             "dimension": space.dimension,
             "basis": [jsonio.encode_matrix(f, jsonio.encode_laurent) for f in space.basis],
-            "mon_comparison": report,
+            "mon_comparison": _hom_report(c1, c2, space, bound),
         }
     if args.command == "trivialize":
         v = jsonio.decode_sigmamodule(doc)

@@ -9,12 +9,11 @@ and the constant matrix from the monodromy action on that basis.
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from .diffmod import (
     DiffModule,
     HorizontalSpace,
-    base_change,
     constant_matrix_of,
     dual,
     exp_ell_n,
@@ -120,50 +119,49 @@ def _apply_row_operator(g, a_scalar, row):
     return out
 
 
-def _row_coordinates(rows):
-    keys = set()
-    for row in rows:
-        for j, f in enumerate(row):
-            keys.update((j, d) for d in f.terms)
-    index = {k: i for i, k in enumerate(sorted(keys))}
-    out = []
-    for row in rows:
-        vec = [Cyclotomic.zero()] * max(len(index), 1)
-        for j, f in enumerate(row):
-            for d, c in f.terms.items():
-                vec[index[(j, d)]] = c
-        out.append(vec)
-    return out
+def _operator_powers(g):
+    """T_0^k(e_i) for k = 0..n, one list per i: n^2 applications of T_0."""
+    powers = [[[LaurentPoly.one() if j == i else LaurentPoly.zero() for j in range(g.rows)]] for i in range(g.rows)]
+    for seq in powers:
+        for _ in range(g.rows):
+            seq.append(_apply_row_operator(g, Cyclotomic.zero(), seq[-1]))
+    return powers
 
 
-def _row_solution_chains(g, search_class, bound):
+def _window_images(powers, search_class, bound):
+    """T^n(t^d e_i) for d in [-bound, bound] (d outer, i inner) as maps
+    (j, degree) -> nonzero coefficient, from powers[i][k] = T_0^k(e_i) by the
+    shift identity (see _row_solution_chains)."""
+    n = len(powers)
+    images = []
+    for d in range(-bound, bound + 1):
+        scales = [Cyclotomic.from_rat(comb(n, k) * (search_class.value + d) ** (n - k)) for k in range(n + 1)]
+        for seq in powers:
+            img = {}
+            for scale, row in zip(scales, seq):
+                for j, f in enumerate(row):
+                    for e, c in f.terms.items():
+                        prev = img.get((j, e + d))
+                        img[j, e + d] = c * scale if prev is None else prev + c * scale
+            images.append({key: c for key, c in img.items() if not c.is_zero})
+    return images
+
+
+def _row_solution_chains(g, search_class, bound, powers):
     """All horizontal rows w = sum_k w_k ell^k of class a with seeds in the
-    window [-bound, bound]: w_0 ranges over ker(T^n), w_{k+1} = -T(w_k)/(k+1)."""
+    window [-bound, bound]: w_0 ranges over ker(T^n), w_{k+1} = -T(w_k)/(k+1).
+
+    T = partial + a + G satisfies T(t^d w) = t^d (T + d)(w) and T = T_0 + a,
+    so the image of a unit seed is T^n(t^d e_i) =
+    t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i), summed over k in increasing
+    order; powers holds the T_0^k(e_i), shared by every search class."""
     n = g.rows
     a_scalar = Cyclotomic.from_rat(search_class.value)
-    zero_row = [LaurentPoly.zero()] * n
-
-    seeds = []
-    for d in range(-bound, bound + 1):
-        for i in range(n):
-            row = list(zero_row)
-            row[i] = LaurentPoly.t_power(d)
-            seeds.append(row)
-
-    images = []
-    for seed in seeds:
-        img = seed
-        for _ in range(n):
-            img = _apply_row_operator(g, a_scalar, img)
-        images.append(img)
-
+    images = _window_images(powers, search_class, bound)
+    keys = sorted(set().union(*images)) or [None]
     chains = []
-    for combo in Matrix(_row_coordinates(images)).transpose().nullspace():
-        w0 = list(zero_row)
-        for c, seed in zip(combo, seeds):
-            if not c.is_zero:
-                w0 = [f + g_ * c for f, g_ in zip(w0, seed)]
-        chain = [w0]
+    for combo in Matrix([[img.get(key, Cyclotomic.zero()) for img in images] for key in keys]).nullspace():
+        chain = [[LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]]
         k = 0
         while True:
             img = _apply_row_operator(g, a_scalar, chain[-1])
@@ -179,12 +177,7 @@ def _row_solution_chains(g, search_class, bound):
 
 
 def _chain_to_expring_row(chain, search_class):
-    n = len(chain[0])
-    out = []
-    for j in range(n):
-        coeffs = [GroupAlgElem({search_class: chain[k][j]}) for k in range(len(chain))]
-        out.append(ExpRingElem(coeffs))
-    return out
+    return [ExpRingElem([GroupAlgElem({search_class: w[j]}) for w in chain]) for j in range(len(chain[0]))]
 
 
 def _section_search(module, g, exponent_candidates, laurent_degree_bound):
@@ -197,9 +190,10 @@ def _section_search(module, g, exponent_candidates, laurent_degree_bound):
     else:
         candidates = [ExponentClass(a) for a in exponent_candidates]
     search_classes = sorted(dict.fromkeys(-a for a in candidates), key=lambda a: a.value)
+    powers = _operator_powers(g)
     rows = []
     for sc in search_classes:
-        for chain in _row_solution_chains(g, sc, laurent_degree_bound):
+        for chain in _row_solution_chains(g, sc, laurent_degree_bound, powers):
             rows.append(_chain_to_expring_row(chain, sc))
     return rows, candidates
 
@@ -228,6 +222,13 @@ def _inverse_row_fundamental_block(lam, a_class, size):
     return (exp_ell_n(size, 1) * z0_inv_e).map(lambda e: e * t_pos)
 
 
+def _gauge_gives(module, h, c):
+    """Whether the gauge H with unit determinant takes G to the matrix C.
+    G' = (partial(H) + H G) H^-1, so G' = C exactly when
+    partial(H) + H G = C H, which needs no inverse of H."""
+    return h.map(module.derive) + h * module.matrix == c * h
+
+
 def find_constant_form(
     module,
     exponent_candidates=None,
@@ -243,7 +244,9 @@ def find_constant_form(
     coefficients follow by w_{k+1} = -T(w_k)/(k+1).  If n independent
     sections exist, the monodromy R of the section basis is computed, and
     W_C^-1 * Q^-1 * W is the gauge onto the Jordan constant matrix dictated
-    by R (a sigma-invariant matrix, hence with entries in A).
+    by R (a sigma-invariant matrix, hence with entries in A).  Once det H is
+    known to be a unit, G' = C is checked as partial(H) + H G = C H (that is
+    G' = C times the invertible H), with no inverse of H.
 
     This is a semi-decision procedure: NotRegularWithinBounds means absence
     within the bounds, not a proof of irregularity.
@@ -290,7 +293,7 @@ def find_constant_form(
     c = Matrix.block_diag(c_blocks)
     if not det_cofactor(h).is_unit:
         raise AssertionError("reconstructed gauge is not invertible over A")
-    if base_change(module, h).matrix != c.map(LaurentPoly.from_scalar):
+    if not _gauge_gives(module, h, c.map(LaurentPoly.from_scalar)):
         raise AssertionError("constant form verification failed; this is a bug")
     return ConstantForm(gauge=h, constant=c)
 
@@ -388,14 +391,17 @@ class FuchsDecomposition:
 
 def fuchs_decomposition(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
     """Jordan-Hoelder data: compose the constant form with a constant
-    conjugation to Jordan shape, exposing the flag of rank-one sub-quotients."""
+    conjugation to Jordan shape, exposing the flag of rank-one sub-quotients.
+    The gauge P^-1 H is checked without an inverse, as in find_constant_form:
+    partial(P^-1 H) + P^-1 H G = J P^-1 H."""
     cf = _constant_form_or_not_regular(module, conductor_bound, **opts)
     jd = jordan_form(cf.constant, conductor_bound)
     p_inv = jd.transform.inverse().map(LaurentPoly.from_scalar)
     gauge = p_inv * cf.gauge
     triangular = jd.jordan_matrix()
-    check = base_change(module, gauge)
-    if check.matrix != triangular.map(LaurentPoly.from_scalar):
+    # P is constant and invertible, and cf.gauge passed find_constant_form's
+    # unit-determinant test or is the identity, so det(P^-1 H) is a unit
+    if not _gauge_gives(module, gauge, triangular.map(LaurentPoly.from_scalar)):
         raise AssertionError("triangularization verification failed; this is a bug")
     diag = [triangular.data[i][i] for i in range(module.dim)]
     classes = [ExponentClass.from_scalar(x) for x in diag]
@@ -439,11 +445,15 @@ def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
 def mon_hom_compare(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
     """Check dim Hom^nabla(M, N) = dim Hom^Z(Mon M, Mon N), plus the exponent
     arithmetic of tensor and dual.  Returns a report dict."""
-    cf1 = _constant_form_or_not_regular(m1, conductor_bound, **opts)
-    cf2 = _constant_form_or_not_regular(m2, conductor_bound, **opts)
-    c1 = DiffModule.from_constant(cf1.constant)
-    c2 = DiffModule.from_constant(cf2.constant)
-    d_hom = horizontal_hom(c1, c2, conductor_bound).dimension
+    c1, c2 = (DiffModule.from_constant(_constant_form_or_not_regular(m, conductor_bound, **opts).constant)
+              for m in (m1, m2))
+    return _hom_report(c1, c2, horizontal_hom(c1, c2, conductor_bound), conductor_bound)
+
+
+def _hom_report(c1, c2, space, conductor_bound):
+    """mon_hom_compare's report for constant modules c1, c2 and the
+    horizontal Hom space between them."""
+    d_hom = space.dimension
     d_mon = hom_dim(mon(c1, conductor_bound), mon(c2, conductor_bound))
     e1 = exponents(c1, conductor_bound)
     e2 = exponents(c2, conductor_bound)

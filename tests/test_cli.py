@@ -102,6 +102,28 @@ class TestCommands:
         assert doc["dimension"] == 2 and doc["mon_comparison"]["ok"]
         assert len(calls) == 2
 
+    def test_hom_computes_the_hom_space_once(self, capsys, monkeypatch):
+        from fuchskit import cli, diffmod, functors
+
+        calls = []
+        hom = diffmod.horizontal_hom
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return hom(*args, **kwargs)
+
+        for module in (cli, diffmod, functors):
+            monkeypatch.setattr(module, "horizontal_hom", counted)
+        pair = json.dumps({
+            "left": {"dim": 2, "matrix": [["1/2", "1"], ["0", "1/2"]]},
+            "right": {"dim": 2, "matrix": [["1/2", "0"], ["0", "1/3"]]},
+        })
+        code, out = run_cli(capsys, "hom", "--json", pair)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dimension"] == 1 and doc["mon_comparison"]["hom_dim"] == 1 and doc["mon_comparison"]["ok"]
+        assert len(calls) == 1
+
     def test_trivialize(self, capsys):
         v = '{"dim": 1, "monodromy": [["-1"]]}'
         code, out = run_cli(capsys, "trivialize", "--json", v)
@@ -242,3 +264,60 @@ class TestMutantDetection:
         assert not doc["ok"]
         failing = {p["id"] for p in doc["properties"] if p["failures"]}
         assert "scalar.gamma-homomorphism" in failing
+
+
+# A sheared 3-dimensional module: J(1/2, 2) + (5/12), conjugated by a
+# constant matrix with entries zeta_12 and zeta_12^3, then gauged by one with
+# zeta_12 t^-1 and t entries.  G has conductor-12 coefficients and degrees
+# -1, 0 and 1; the search classes are 1/2 and 7/12.  The expected stdout was
+# recorded before the window search used the shift identity.
+PINNED_INPUT = (
+    '{"derivation": "t d/dt", "dim": 3, "matrix": [[{"0": {"coeffs": ["1/2"], "conductor": 1}}, '
+    '{"-1": {"coeffs": ["0", "-1", "0", "0"], "conductor": 12}, "0": {"coeffs": ["1"], "conductor": 1}}, {}], '
+    '[{}, {"0": {"coeffs": ["1/2"], "conductor": 1}}, {}], '
+    '[{"0": {"coeffs": ["0", "0", "0", "1/12"], "conductor": 12}}, '
+    '{"-1": {"coeffs": ["1/12", "0", "-1/12", "0"], "conductor": 12}, '
+    '"0": {"coeffs": ["1/12", "0", "-1/12", "1"], "conductor": 12}, "1": {"coeffs": ["13/12"], "conductor": 1}}, '
+    '{"0": {"coeffs": ["5/12"], "conductor": 1}}]]}'
+)
+PINNED_OUTPUT = {
+    "constant-form": (
+        '{"constant":[[{"coeffs":["1/2"],"conductor":1},{"coeffs":["1"],"conductor":1},'
+        '{"coeffs":["0"],"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["1/2"],"conductor":1},'
+        '{"coeffs":["0"],"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},'
+        '{"coeffs":["5/12"],"conductor":1}]],'
+        '"gauge":[[{"0":{"coeffs":["1"],"conductor":1}},{"-1":{"coeffs":["0","-1","0","0"],"conductor":12}},{}],'
+        '[{},{"0":{"coeffs":["1"],"conductor":1}},{}],[{"0":{"coeffs":["0","0","0","1"],"conductor":12}},'
+        '{"-1":{"coeffs":["1","0","-1","0"],"conductor":12},"0":{"coeffs":["1","0","-1","0"],"conductor":12},'
+        '"1":{"coeffs":["1"],"conductor":1}},{"0":{"coeffs":["-1"],"conductor":1}}]]}'
+    ),
+    "fuchs": (
+        '{"exponents":["5/12","1/2","1/2"],"factors":[{"coeffs":["5/12"],"conductor":1},'
+        '{"coeffs":["1/2"],"conductor":1},{"coeffs":["1/2"],"conductor":1}],'
+        '"gauge":[[{"0":{"coeffs":["0","0","0","1"],"conductor":12}},{"-1":{"coeffs":["1","0","-1","0"],"conductor":12},'
+        '"0":{"coeffs":["1","0","-1","0"],"conductor":12},"1":{"coeffs":["1"],"conductor":1}},'
+        '{"0":{"coeffs":["-1"],"conductor":1}}],[{"0":{"coeffs":["1"],"conductor":1}},'
+        '{"-1":{"coeffs":["0","-1","0","0"],"conductor":12}},{}],[{},{"0":{"coeffs":["1"],"conductor":1}},{}]],'
+        '"triangular":[[{"coeffs":["5/12"],"conductor":1},{"coeffs":["0"],"conductor":1},'
+        '{"coeffs":["0"],"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["1/2"],"conductor":1},'
+        '{"coeffs":["1"],"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},'
+        '{"coeffs":["1/2"],"conductor":1}]]}'
+    ),
+}
+
+
+
+
+class TestPinnedConductor12:
+    """Conductor labels depend on the order of additions, so these bytes
+    guard every regrouping of the sums in the constant-form search."""
+
+    @pytest.mark.parametrize("command", ["constant-form", "fuchs"])
+    def test_bytes(self, capsys, command):
+        code, out = run_cli(
+            capsys, command, "--json", PINNED_INPUT, "--exponent-candidates", "1/2,5/12", "--degree-bound", "3"
+        )
+        assert code == 0
+        # the CLI prints json.dumps(doc, indent=2, sort_keys=True), which
+        # these compact documents render to byte for byte
+        assert out == json.dumps(json.loads(PINNED_OUTPUT[command]), indent=2, sort_keys=True) + "\n"

@@ -1,0 +1,180 @@
+"""The window search of the constant-form pipeline.
+
+The images T_a^n(t^d e_i) of the unit seeds come from the shift identity
+T_a^n(t^d e_i) = t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i); they are compared
+here with a direct n-fold application of T_a.  The gauge checks of
+find_constant_form and fuchs_decomposition use partial(H) + H G = C H in
+place of base_change, which is compared with base_change itself.
+"""
+
+import random
+
+import pytest
+
+from fuchskit import diffmod, functors
+from fuchskit.diffmod import DiffModule, base_change, laurent_matrix
+from fuchskit.functors import (
+    _gauge_gives,
+    _operator_powers,
+    _window_images,
+    find_constant_form,
+    fuchs_decomposition,
+    horizontal_sections,
+)
+from fuchskit.generate import Sizes, rand_shearing_gauge
+from fuchskit.laurent import LaurentPoly
+from fuchskit.linalg import Matrix, jordan_block
+from fuchskit.ratio import Rat
+from fuchskit.scalar import Cyclotomic, ExponentClass
+
+Z12 = Cyclotomic.root_of_unity(12)
+
+
+def rand_coefficient(rng, conductor_12):
+    """A rational, or a value of Q(zeta_12) with every coordinate drawn."""
+    if not conductor_12:
+        return Cyclotomic.from_rat(Rat(rng.randint(-3, 3), rng.randint(1, 4)))
+    return Cyclotomic(12, [Rat(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(4)])
+
+
+def rand_connection(rng, dim, conductor_12):
+    """A Laurent matrix with degrees in [-2, 2], negative degrees included."""
+    rows = []
+    for _ in range(dim):
+        row = []
+        for _ in range(dim):
+            terms = {rng.randint(-2, 2): rand_coefficient(rng, conductor_12) for _ in range(rng.randint(0, 2))}
+            row.append(LaurentPoly(terms))
+        rows.append(row)
+    rows[0][-1] = rows[0][-1] + LaurentPoly.t_power(-1, rand_coefficient(rng, conductor_12) + 1)
+    return Matrix(rows)
+
+
+def direct_image(g, a, d, i):
+    """T_a^n(t^d e_i) by n applications of T_a = partial + a + G to a row."""
+    n = g.rows
+    a = Cyclotomic.from_rat(a)
+    row = [LaurentPoly.t_power(d) if j == i else LaurentPoly.zero() for j in range(n)]
+    for _ in range(n):
+        row = [
+            sum((row[k] * g.data[k][j] for k in range(n)), row[j].partial() + row[j] * a)
+            for j in range(n)
+        ]
+    return {(j, e): c for j, f in enumerate(row) for e, c in f.terms.items()}
+
+
+class TestShiftIdentity:
+    @pytest.mark.parametrize("conductor_12", [False, True], ids=["rational", "conductor12"])
+    @pytest.mark.parametrize("a", [Rat(0), Rat(1, 2), Rat(5, 12)], ids=["0", "1/2", "5/12"])
+    def test_images_match_direct_application(self, conductor_12, a):
+        rng = random.Random(f"window-images:{conductor_12}:{a}")
+        bound = 2
+        for dim in (1, 2, 3):
+            g = rand_connection(rng, dim, conductor_12)
+            images = _window_images(_operator_powers(g), ExponentClass(a), bound)
+            assert len(images) == (2 * bound + 1) * dim
+            seeds = [(d, i) for d in range(-bound, bound + 1) for i in range(dim)]
+            for image, (d, i) in zip(images, seeds):
+                assert image == direct_image(g, a, d, i)
+                assert all(not c.is_zero for c in image.values())
+
+
+def counted_search(monkeypatch):
+    """Count _apply_row_operator calls made for the images (outside
+    _row_solution_chains) apart from the chain steps (inside it), and record
+    the length of every chain returned."""
+    counts = {"images": 0, "chains": 0, "chain_lengths": 0}
+    inside = []
+    apply, chains = functors._apply_row_operator, functors._row_solution_chains
+
+    def counted_apply(*args):
+        counts["chains" if inside else "images"] += 1
+        return apply(*args)
+
+    def counted_chains(*args):
+        inside.append(True)
+        try:
+            out = chains(*args)
+        finally:
+            inside.pop()
+        counts["chain_lengths"] += sum(len(chain) for chain in out)
+        return out
+
+    monkeypatch.setattr(functors, "_apply_row_operator", counted_apply)
+    monkeypatch.setattr(functors, "_row_solution_chains", counted_chains)
+    return counts
+
+
+def sheared_module():
+    """J(1/2, 2) + (1/3), hidden by a gauge with t^-1 and t^2 entries."""
+    c = Matrix.block_diag([jordan_block(Cyclotomic.from_rat(Rat(1, 2)), 2), jordan_block(Cyclotomic.from_rat(Rat(1, 3)), 1)])
+    t = LaurentPoly.t_power
+    h = laurent_matrix([[1, t(-1), 0], [0, 1, 0], [t(2), 1, 1]])
+    return base_change(DiffModule.from_constant(c), h)
+
+
+class TestOperatorCalls:
+    @pytest.mark.parametrize("bound", [3, 6])
+    @pytest.mark.parametrize(
+        "candidates",
+        [[Rat(1, 2), Rat(1, 3)], [Rat(1, 2), Rat(1, 3), Rat(0), Rat(5, 12), Rat(1, 4)]],
+        ids=["two-classes", "five-classes"],
+    )
+    def test_images_take_n_squared_calls(self, monkeypatch, bound, candidates):
+        m = sheared_module()
+        counts = counted_search(monkeypatch)
+        cf = find_constant_form(m, exponent_candidates=candidates, laurent_degree_bound=bound)
+        assert cf.constant.rows == 3
+        assert counts["images"] == m.dim**2
+        # one step per chain vector, plus the step that reaches zero
+        assert counts["chains"] == counts["chain_lengths"] > 0
+
+    def test_column_sections_take_n_squared_calls(self, monkeypatch):
+        m = sheared_module()
+        counts = counted_search(monkeypatch)
+        space = horizontal_sections(m, exponent_candidates=[Rat(1, 2), Rat(1, 3), Rat(0)], laurent_degree_bound=4)
+        assert len(space.basis) == 3
+        assert counts["images"] == m.dim**2
+        assert counts["chains"] == counts["chain_lengths"]
+
+
+def perturbed(c, rng):
+    i, j = rng.randrange(c.rows), rng.randrange(c.cols)
+    rows = [list(row) for row in c.data]
+    rows[i][j] = rows[i][j] + LaurentPoly.t_power(rng.randint(-2, 2), Z12)
+    return Matrix(rows)
+
+
+class TestInverseFreeCheck:
+    def test_agrees_with_base_change(self):
+        rng = random.Random("inverse-free-check")
+        sizes = Sizes(max_dim=3)
+        for trial in range(12):
+            dim = 1 + trial % 3
+            m = DiffModule(rand_connection(rng, dim, conductor_12=trial % 2 == 1))
+            h = rand_shearing_gauge(rng, sizes, dim)
+            if trial % 4 == 3:
+                # a constant unipotent factor with a conductor-12 entry
+                u = Matrix([[Cyclotomic.one() if r == s else (Z12 if s == r + 1 else Cyclotomic.zero())
+                             for s in range(dim)] for r in range(dim)])
+                h = u.map(LaurentPoly.from_scalar) * h
+            assert diffmod.det_cofactor(h).is_unit
+            c = base_change(m, h).matrix
+            assert _gauge_gives(m, h, c)
+            bad = perturbed(c, rng)
+            assert base_change(m, h).matrix != bad
+            assert not _gauge_gives(m, h, bad)
+
+    def test_search_and_fuchs_take_no_inverse(self, monkeypatch):
+        m = sheared_module()
+
+        def refuse(_):
+            raise AssertionError("a Laurent matrix was inverted")
+
+        monkeypatch.setattr(diffmod, "laurent_matrix_inverse", refuse)
+        opts = {"exponent_candidates": [Rat(1, 2), Rat(1, 3)], "laurent_degree_bound": 4}
+        cf = find_constant_form(m, **opts)
+        fd = fuchs_decomposition(m, **opts)
+        monkeypatch.undo()
+        assert base_change(m, cf.gauge).matrix == cf.constant.map(LaurentPoly.from_scalar)
+        assert base_change(m, fd.gauge).matrix == fd.triangular.map(LaurentPoly.from_scalar)
