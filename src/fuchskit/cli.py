@@ -124,6 +124,8 @@ def _search_options(args):
             for part in args.exponent_candidates.split(",")
         ]
     if getattr(args, "degree_bound", None) is not None:
+        if args.degree_bound < 0:
+            raise InputError("--degree-bound must be nonnegative")
         opts["laurent_degree_bound"] = args.degree_bound
     return opts
 

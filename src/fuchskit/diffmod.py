@@ -225,15 +225,15 @@ def twist_derivation(m, h):
 # solutions of constant-matrix modules
 
 
-def exp_ell_n(size, sign):
-    """exp(sign * ell * N) over E_A for the nilpotent part N of a Jordan block:
-    upper triangular Toeplitz with sign^j ell^j / j! on the j-th diagonal."""
+def exp_ell_n(size):
+    """exp(-ell * N) over E_A for the nilpotent part N of a Jordan block:
+    upper triangular Toeplitz with (-1)^j ell^j / j! on the j-th diagonal."""
     ell = ExpRingElem.ell_var()
     z = ExpRingElem.zero()
     entries = [[z] * size for _ in range(size)]
     ell_pow = ExpRingElem.one()
     for j in range(size):
-        term = ell_pow * Rat(sign**j, factorial(j))
+        term = ell_pow * Rat((-1) ** j, factorial(j))
         for i in range(size - j):
             entries[i][i + j] = term
         ell_pow = ell_pow * ell
@@ -244,7 +244,7 @@ def _block_fundamental(a_value, size):
     """t^{-a} * exp(-ell N) for the Jordan block J(a, size): the columns are
     horizontal for the connection v -> partial(v) + J(a,size) v."""
     t_neg_a = ExpRingElem.t_power(-a_value)
-    return exp_ell_n(size, -1).map(lambda e: t_neg_a * e)
+    return exp_ell_n(size).map(lambda e: t_neg_a * e)
 
 
 def fundamental_matrix(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND):

@@ -79,12 +79,6 @@ class GroupAlgElem:
         """The a = 0 component (an element of A)."""
         return self.component(0)
 
-    def as_laurent(self):
-        """Coerce to A; None when a nonzero class is present."""
-        if any(not a.is_zero for a in self.parts):
-            return None
-        return self.laurent_part
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerced(self, other):
@@ -260,14 +254,6 @@ class ExpRingElem:
 
     def coeff(self, k):
         return self.ell[k] if 0 <= k < len(self.ell) else GroupAlgElem.zero()
-
-    def as_laurent(self):
-        """Coerce to A; None when ell or a nonzero class is present."""
-        if len(self.ell) > 1:
-            return None
-        if not self.ell:
-            return LaurentPoly.zero()
-        return self.ell[0].as_laurent()
 
     # -- arithmetic --------------------------------------------------------
 

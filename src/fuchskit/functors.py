@@ -4,8 +4,8 @@ mon sends a module with constant connection matrix to the representation of
 Z obtained by swapping every Jordan block J(a, n) for J(gamma(-a), n); rm is
 the inverse dictionary.  For nonconstant matrices, find_constant_form
 searches for a full basis of horizontal sections of M (x) E_A by exact
-linear algebra on a bounded coefficient space, then reconstructs the gauge
-and the constant matrix from the monodromy action on that basis.
+linear algebra on a bounded coefficient space, then reads the monodromy, the
+gauge and the constant matrix off the seeds of that basis, over A and K.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ from .diffmod import (
     HorizontalSpace,
     constant_matrix_of,
     dual,
-    exp_ell_n,
     horizontal_hom,
     match_left_factor,
     tensor,
@@ -155,6 +154,8 @@ def _row_solution_chains(g, search_class, bound, powers):
     so the image of a unit seed is T^n(t^d e_i) =
     t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i), summed over k in increasing
     order; powers holds the T_0^k(e_i), shared by every search class."""
+    if bound < 0:
+        return []  # an empty window holds no seeds
     n = g.rows
     a_scalar = Cyclotomic.from_rat(search_class.value)
     images = _window_images(powers, search_class, bound)
@@ -176,14 +177,11 @@ def _row_solution_chains(g, search_class, bound, powers):
     return chains
 
 
-def _chain_to_expring_row(chain, search_class):
-    return [ExpRingElem([GroupAlgElem({search_class: w[j]}) for w in chain]) for j in range(len(chain[0]))]
-
-
 def _section_search(module, g, exponent_candidates, laurent_degree_bound):
-    """Rows w over E_A with partial(w) + w g = 0 found by the seed-chain search
-    (g is G for row sections, G^T for column sections), grouped by search
-    class in increasing order, and the exponent candidates searched."""
+    """The horizontal rows w = t^sc sum_k w_k ell^k, partial(w) + w g = 0,
+    found by the seed-chain search (g is G for row sections, G^T for column
+    sections), as (sc, [w_0, w_1, ...]) pairs grouped by search class in
+    increasing order, and the exponent candidates searched."""
     module.require_standard_derivation()
     if exponent_candidates is None:
         candidates = default_exponent_candidates(module)
@@ -191,17 +189,16 @@ def _section_search(module, g, exponent_candidates, laurent_degree_bound):
         candidates = [ExponentClass(a) for a in exponent_candidates]
     search_classes = sorted(dict.fromkeys(-a for a in candidates), key=lambda a: a.value)
     powers = _operator_powers(g)
-    rows = []
+    sections = []
     for sc in search_classes:
-        for chain in _row_solution_chains(g, sc, laurent_degree_bound, powers):
-            rows.append(_chain_to_expring_row(chain, sc))
-    return rows, candidates
+        sections.extend((sc, chain) for chain in _row_solution_chains(g, sc, laurent_degree_bound, powers))
+    return sections, candidates
 
 
-def _inverse_row_fundamental_block(lam, a_class, size):
-    """Inverse of the row fundamental matrix W = t^{-a} Z0 exp(-ell N) of
-    J(a, size) with monodromy exactly J(lam, size), where the rows of Z0 are
-    lam^i e_1^T X^i, X = exp(-N) - I; that is, exp(ell N) Z0^-1 t^a."""
+def _seed_block_inverse(lam, a_class, size):
+    """t^(a+sc) Z0^-1 for J(a, size) with monodromy exactly J(lam, size),
+    where the rows of Z0 are lam^i e_1^T X^i, X = exp(-N) - I.  The seeds
+    of the block have class sc = -a, so a + sc is 0 or 1."""
     zero_c, one_c = Cyclotomic.zero(), Cyclotomic.one()
     x = Matrix(
         [
@@ -216,17 +213,30 @@ def _inverse_row_fundamental_block(lam, a_class, size):
         rows.append([lam_pow * c for c in current])
         current = (Matrix([current]) * x).data[0] if i + 1 < size else current
         lam_pow = lam_pow * lam
-    z0_inv_e = Matrix(rows).inverse().map(ExpRingElem.from_scalar)
-
-    t_pos = ExpRingElem.t_power(a_class.value)
-    return (exp_ell_n(size, 1) * z0_inv_e).map(lambda e: e * t_pos)
+    shift = 0 if a_class.is_zero else 1
+    return Matrix(rows).inverse().map(lambda z: LaurentPoly({shift: z}))
 
 
 def _gauge_gives(module, h, c):
-    """Whether the gauge H with unit determinant takes G to the matrix C.
-    G' = (partial(H) + H G) H^-1, so G' = C exactly when
+    """Whether the gauge H takes G to the matrix C, given that H is
+    invertible: G' = (partial(H) + H G) H^-1, so G' = C exactly when
     partial(H) + H G = C H, which needs no inverse of H."""
     return h.map(module.derive) + h * module.matrix == c * h
+
+
+def _horizontal_is_invertible(f):
+    """Whether a square F over A with partial(F) = F G1 - G2 F is invertible.
+
+    Such F are the horizontal morphisms (G1, G2 the two connection
+    matrices) and the gauges with partial(H) + H G = C H (G1 = -G,
+    G2 = -C).  By Liouville's formula partial(det F) = (tr G1 - tr G2) det F.
+    A nonzero y in A with partial(y)/y in A is a monomial: write y = t^m v
+    with v a polynomial, v(0) != 0; then partial(y)/y = m + t v'/v, so v
+    divides t v', hence v', and v is constant.  So det F is 0 or a unit of A,
+    and the value det(F(1)) at t = 1 tells which.
+    """
+    at_one = f.map(lambda x: sum(x.terms.values(), Cyclotomic.zero()))
+    return not det_cofactor(at_one).is_zero
 
 
 def find_constant_form(
@@ -242,59 +252,48 @@ def find_constant_form(
     seeds w_0 (the ell^0 coefficient, with Laurent degrees in the bound
     window) on which T = (partial + a) + G acts nilpotently; the higher ell
     coefficients follow by w_{k+1} = -T(w_k)/(k+1).  If n independent
-    sections exist, the monodromy R of the section basis is computed, and
-    W_C^-1 * Q^-1 * W is the gauge onto the Jordan constant matrix dictated
-    by R (a sigma-invariant matrix, hence with entries in A).  Once det H is
-    known to be a unit, G' = C is checked as partial(H) + H G = C H (that is
-    G' = C times the invertible H), with no inverse of H.
+    sections W exist, their monodromy R (sigma(W) = R W) is read off the
+    ell^0 rows: the ell^0 part of sigma(t^sc sum_k w_k ell^k) is
+    gamma(sc) t^sc sum_k w_k, and the seeds are independent.  With
+    R = Q J Q^-1 in Jordan form and W_C = t^-a Z0 exp(-ell N) the row
+    solutions of the constant matrix C dictated by J, the gauge
+    H = W_C^-1 Q^-1 W is sigma-invariant, so it lies in A and equals its
+    ell^0 part t^a Z0^-1 Q^-1 W_0; all of this is computed over A and K.
+    G' = C is checked as partial(H) + H G = C H, and then H is certified
+    invertible by the value of det H at t = 1 (see _horizontal_is_invertible).
 
     This is a semi-decision procedure: NotRegularWithinBounds means absence
     within the bounds, not a proof of irregularity.
     """
     n = module.dim
-    rows, candidates = _section_search(module, module.matrix, exponent_candidates, laurent_degree_bound)
-    if len(rows) < n:
+    sections, candidates = _section_search(module, module.matrix, exponent_candidates, laurent_degree_bound)
+    if len(sections) < n:
         shown = ", ".join(str(a) for a in sorted(candidates, key=lambda a: a.value))
         raise NotFoundWithinBounds(
-            f"found {len(rows)} independent horizontal sections (need {n}) "
+            f"found {len(sections)} independent horizontal sections (need {n}) "
             f"within degree window [{-laurent_degree_bound},{laurent_degree_bound}] "
             f"for exponent candidates [{shown}]"
         )
-    if len(rows) > n:
+    if len(sections) > n:
         raise AssertionError("solution space exceeds the rank; this is a bug")
 
-    w = Matrix(rows)
-    sigma_w = w.map(lambda x: x.sigma())
-    r = match_left_factor(w, sigma_w)
+    def ell0_rows(rows):
+        return Matrix([[ExpRingElem.from_groupalg(GroupAlgElem({sc: f})) for f in row]
+                       for (sc, _), row in zip(sections, rows)])
 
-    jd = jordan_form(r, conductor_bound)
-    q_inv = jd.transform.inverse().map(ExpRingElem.from_scalar)
-    w_tilde = q_inv * w
-
-    w_c_inv_blocks = []
-    c_blocks = []
-    for lam, size in jd.blocks:
-        a_b = gamma_inverse(lam.inverse())
-        w_c_inv_blocks.append(_inverse_row_fundamental_block(lam, a_b, size))
-        c_blocks.append(jordan_block(a_b.as_cyclotomic(), size))
-
-    h_e = Matrix.block_diag(w_c_inv_blocks, ring=ExpRingElem) * w_tilde
-    h_rows = []
-    for row in h_e.data:
-        out = []
-        for x in row:
-            f = x.as_laurent()
-            if f is None:
-                raise AssertionError("gauge is not sigma-invariant; this is a bug")
-            out.append(f)
-        h_rows.append(out)
-    h = Matrix(h_rows)
-
-    c = Matrix.block_diag(c_blocks)
-    if not det_cofactor(h).is_unit:
-        raise AssertionError("reconstructed gauge is not invertible over A")
+    w0 = [chain[0] for _, chain in sections]
+    # the ell^0 rows of sigma(W), summed over k in increasing order as ExpRingElem.sigma does
+    sigma_w0 = [[sum((w[j] * gamma(sc) for w in chain[1:]), chain[0][j] * gamma(sc)) for j in range(n)]
+                for sc, chain in sections]
+    jd = jordan_form(match_left_factor(ell0_rows(w0), ell0_rows(sigma_w0)), conductor_bound)
+    blocks = [(lam, gamma_inverse(lam.inverse()), size) for lam, size in jd.blocks]
+    q_inv_w0 = jd.transform.inverse().map(LaurentPoly.from_scalar) * Matrix(w0)
+    h = Matrix.block_diag([_seed_block_inverse(lam, a, size) for lam, a, size in blocks]) * q_inv_w0
+    c = Matrix.block_diag([jordan_block(a.as_cyclotomic(), size) for _, a, size in blocks])
     if not _gauge_gives(module, h, c.map(LaurentPoly.from_scalar)):
         raise AssertionError("constant form verification failed; this is a bug")
+    if not _horizontal_is_invertible(h):
+        raise AssertionError("reconstructed gauge is not invertible over A")
     return ConstantForm(gauge=h, constant=c)
 
 
@@ -321,7 +320,8 @@ def horizontal_sections(
     """
     g = module.matrix
     n = module.dim
-    basis, _ = _section_search(module, g.transpose(), exponent_candidates, laurent_degree_bound)
+    sections, _ = _section_search(module, g.transpose(), exponent_candidates, laurent_degree_bound)
+    basis = [[ExpRingElem([GroupAlgElem({sc: w[j]}) for w in chain]) for j in range(n)] for sc, chain in sections]
     g_e = g.map(ExpRingElem.from_laurent)
     for v in basis:
         image = [x.partial() for x in v]
@@ -392,15 +392,15 @@ class FuchsDecomposition:
 def fuchs_decomposition(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
     """Jordan-Hoelder data: compose the constant form with a constant
     conjugation to Jordan shape, exposing the flag of rank-one sub-quotients.
-    The gauge P^-1 H is checked without an inverse, as in find_constant_form:
-    partial(P^-1 H) + P^-1 H G = J P^-1 H."""
+    The gauge P^-1 H is checked over A without an inverse, as in
+    find_constant_form: partial(P^-1 H) + P^-1 H G = J P^-1 H.  It needs no
+    invertibility test of its own, since P is a constant invertible matrix
+    and H is certified invertible by find_constant_form (or is I)."""
     cf = _constant_form_or_not_regular(module, conductor_bound, **opts)
     jd = jordan_form(cf.constant, conductor_bound)
     p_inv = jd.transform.inverse().map(LaurentPoly.from_scalar)
     gauge = p_inv * cf.gauge
     triangular = jd.jordan_matrix()
-    # P is constant and invertible, and cf.gauge passed find_constant_form's
-    # unit-determinant test or is the identity, so det(P^-1 H) is a unit
     if not _gauge_gives(module, gauge, triangular.map(LaurentPoly.from_scalar)):
         raise AssertionError("triangularization verification failed; this is a bug")
     diag = [triangular.data[i][i] for i in range(module.dim)]
@@ -421,23 +421,26 @@ _WITNESS_TRIALS = 40  # rungs of the coefficient ladder (i+1)^trial tried before
 
 
 def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
-    """An explicit invertible horizontal morphism M1 -> M2 over A, or None.
+    """An explicit invertible horizontal morphism M1 -> M2 over A, or None
+    (always None when the dimensions differ).
 
     Scans deterministic integer combinations of the horizontal Hom basis;
     under the equivalence the invertible locus is Zariski open, so a small
-    power ladder of coefficients finds a witness whenever one exists.
+    power ladder of coefficients finds a witness whenever one exists.  Each
+    candidate is horizontal, so it is invertible exactly when its value at
+    t = 1 is (see _horizontal_is_invertible).
     """
     space = horizontal_hom(m1, m2, conductor_bound)
-    if not space.basis:
+    if not space.basis or m1.dim != m2.dim:
         return None
     for f in space.basis:
-        if det_cofactor(f).is_unit:
+        if _horizontal_is_invertible(f):
             return f
     for trial in range(1, _WITNESS_TRIALS + 1):
         combo = Matrix.zeros(m2.dim, m1.dim, LaurentPoly)
         for i, f in enumerate(space.basis):
             combo = combo + f.map(lambda x: x * Cyclotomic.from_rat((i + 1) ** trial))
-        if det_cofactor(combo).is_unit:
+        if _horizontal_is_invertible(combo):
             return combo
     return None
 

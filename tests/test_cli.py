@@ -175,6 +175,12 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "NotFoundWithinBounds"
 
+    def test_negative_degree_bound_is_two(self, capsys):
+        code, out = run_cli(capsys, "constant-form", "--json",
+                            '{"dim": 1, "matrix": [[{"0": "1", "1": "1"}]]}', "--degree-bound", "-1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidInput"
+
     def test_not_root_of_unity_is_one(self, capsys):
         code, out = run_cli(capsys, "rm", "--json", '{"dim": 1, "monodromy": [["2"]]}')
         assert code == 1
