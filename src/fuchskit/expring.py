@@ -86,7 +86,7 @@ class GroupAlgElem:
             return other
         if isinstance(other, LaurentPoly):
             return GroupAlgElem.from_laurent(other)
-        if isinstance(other, (int, type(Rat(0)), Cyclotomic)):
+        if isinstance(other, (int, Rat, Cyclotomic)):
             return GroupAlgElem.from_scalar(as_cyclotomic(other))
         return None
 
@@ -264,7 +264,7 @@ class ExpRingElem:
             return ExpRingElem((other,))
         if isinstance(other, LaurentPoly):
             return ExpRingElem.from_laurent(other)
-        if isinstance(other, (int, type(Rat(0)), Cyclotomic)):
+        if isinstance(other, (int, Rat, Cyclotomic)):
             return ExpRingElem.from_scalar(as_cyclotomic(other))
         return None
 

@@ -13,7 +13,7 @@ from .scalar import Cyclotomic, ExponentClass, as_cyclotomic
 def _coerce_scalar(x):
     if isinstance(x, Cyclotomic):
         return x
-    if isinstance(x, (int, type(Rat(0)))):
+    if isinstance(x, (int, Rat)):
         return Cyclotomic.from_rat(x)
     return None
 

@@ -357,19 +357,24 @@ def _rational_roots_of(q):
 
 def _rational_part(p):
     """gcd over Q of the components p_i of p = sum_i z^i p_i(x), written in the
-    power basis z^i of Q(zeta_N), N the lcm of the coefficient conductors.
+    power basis z^i of Q(zeta_N), N the lcm of the coefficient conductors, as
+    a primitive integer polynomial.
 
     The basis is Q-linearly independent, so a polynomial over Q divides p
     exactly when it divides every p_i: the rational roots of p, and the
     cyclotomic factors Phi_d of p for d coprime to N, are those of the gcd.
+    The p_i are read as integers, scaled by the common denominator of the
+    coefficients of p, which changes no divisor.
     """
     n = lcm(*(c.n for c in p))
-    vecs = [c._embed_vec(n) for c in p]
-    parts = [q for q in ([v[i] for v in vecs] for i in range(euler_phi(n))) if any(q)]
+    den = lcm(*(c._den for c in p))
+    vecs = [[x * (den // c._den) for x in c._embed_num(n)] for c in p]
+    parts = [q for q in zip(*vecs) if any(q)]
     g = parts[0]
     for q in parts[1:]:
         g = _poly_xgcd(g, q)[0]
-    return g
+    content = gcd(*g)
+    return [x // content for x in g]
 
 
 def rational_roots(p):
@@ -398,14 +403,13 @@ def _unit_root_filter(p, n, d, exps):
         w = pow(h, (ell - 1) // big, ell)
     image = []
     for c in p:
+        if c._den % ell == 0:
+            return exps
         step, acc = big // c.n, 0
-        for i, x in enumerate(c.c):
+        for i, x in enumerate(c._num):
             if x:
-                den = int(x.denominator)
-                if den % ell == 0:
-                    return exps
-                acc += int(x.numerator) * pow(den, -1, ell) * pow(w, step * i, ell)
-        image.append(acc % ell)
+                acc += x * pow(w, step * i, ell)
+        image.append(acc * pow(c._den, -1, ell) % ell)
     return [j for j in exps if poly_eval(image, pow(w, big // d * j, ell)) % ell == 0]
 
 

@@ -1,27 +1,13 @@
-"""Rational arithmetic backend.
+"""Rational arithmetic.
 
-All coefficients in the package are exact rationals.  When gmpy2 is
-installed its C-implemented ``mpq`` is used for speed; otherwise the stdlib
-``fractions.Fraction`` is a drop-in replacement (same str() format, same
-hashing, cross-type equality).  Set FUCHS_KIT_PURE_PYTHON=1 to force the
-pure-Python backend even where gmpy2 is installed.
+All coefficients in the package are exact rationals, the stdlib
+``fractions.Fraction``.  ``BACKEND`` names it in benchmark records.
 """
 
-import os
 import re
-from fractions import Fraction
+from fractions import Fraction as Rat
 
-if os.environ.get("FUCHS_KIT_PURE_PYTHON"):
-    Rat = Fraction
-    BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover
-        Rat = Fraction
-        BACKEND = "fractions"
+BACKEND = "fractions"
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -30,7 +16,7 @@ def rat_from_str(s):
     """Parse the canonical "p/q" (or "p") wire form. Raises ValueError."""
     if not isinstance(s, str) or not _RAT_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
-    return Rat(Fraction(s))
+    return Rat(s)
 
 
 def rat_str(x):

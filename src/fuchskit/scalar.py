@@ -1,10 +1,23 @@
 """Exact scalars: cyclotomic numbers and exponent classes.
 
 The algebraically closed coefficient field is realized computably as the
-union of the fields Q(zeta_N).  A Cyclotomic is stored by its conductor N
-and its coordinates in the power basis 1, z, ..., z^(phi(N)-1), always
-reduced modulo the N-th cyclotomic polynomial.  Zero tests are exact; there
-is no floating point anywhere.
+union of the fields Q(zeta_N).  A Cyclotomic is stored by its conductor
+label N, the integer numerators of its coordinates in the power basis
+1, z, ..., z^(phi(N)-1), always reduced modulo the N-th cyclotomic
+polynomial, and one positive common denominator, coprime to them (the form
+of FLINT/Antic's fmpq_poly and nf_elem).  A product is an integer
+convolution reduced by the monic integer Phi_N and normalised by one gcd;
+an inverse is an integer pseudo-remainder extended gcd.  Zero tests are
+exact and O(1); there is no floating point anywhere.
+
+Labels are not minimal: the label of a sum, difference or product is the
+lcm of the operands' labels, demoted only to 1 for a rational value.  This
+rule fixes every encoded output, so it is part of the behaviour.
+
+z^e is a unit vector for e < phi(N).  The rows z^e mod Phi_N for
+phi(N) <= e < N are built once per N by shift-and-reduce and indexed by
+their coordinates (a single row for a prime N), so root_of_unity, embed and
+as_root_of_unity are lookups.
 
 gamma is the concrete exponential isomorphism on torsion exponents:
 gamma(p/q) = zeta_q^p, a group homomorphism Q/Z -> roots of unity, with
@@ -13,6 +26,7 @@ Q(zeta_N) are the +-zeta_N^j.
 """
 
 from math import gcd, lcm
+from operator import add, attrgetter, sub
 
 from .errors import DivisionByZero, NonRationalExponent, NotRootOfUnity
 from .ratio import Rat, rat_floor, rat_from_str, rat_str
@@ -22,7 +36,7 @@ from .ratio import Rat, rat_floor, rat_from_str, rat_str
 
 _PHI_CACHE = {}
 _CYCLO_CACHE = {}
-_POWER_CACHE = {}
+_ROW_CACHE = {}
 
 
 def _is_probable_prime(n):
@@ -144,108 +158,129 @@ def cyclotomic_polynomial(n):
     return poly
 
 
-def _reduce_mod_cyclo(coeffs, n):
-    """Reduce a rational polynomial modulo Phi_n; return exactly phi(n) coords."""
-    cs = _divmod_monic(coeffs, cyclotomic_polynomial(n))[1]
-    cs.extend(Rat(0) for _ in range(euler_phi(n) - len(cs)))
-    return cs
-
-
-def _power_table(n):
-    """z^k mod Phi_n for 0 <= k < n (z of conductor n)."""
-    if n in _POWER_CACHE:
-        return _POWER_CACHE[n]
-    k = euler_phi(n)
-    table = []
-    for e in range(n):
-        v = [Rat(0)] * (e + 1)
-        v[e] = Rat(1)
-        table.append(tuple(_reduce_mod_cyclo(v, n)) if e >= k else tuple(v + [Rat(0)] * (k - e - 1)))
-    _POWER_CACHE[n] = table
-    return table
-
-
 def _poly_xgcd(a, b):
-    """Extended gcd of rational polynomials (ascending lists): g, s with
-    s*a = g mod b and g the monic gcd."""
-    r0, r1 = [Rat(c) for c in a], [Rat(c) for c in b]
-    s0, s1 = [Rat(1)], [Rat(0)]
+    """Extended gcd of integer polynomials (ascending coefficients): g, s with
+    s*a = g modulo b and g a gcd of a and b over Q, both over the integers.
+
+    A pseudo-remainder sequence: each step scales by the leading coefficient
+    instead of dividing by it, and divides the content shared by the
+    remainder and its cofactor back out, so no rational is ever formed.
+    """
 
     def trim(p):
         while p and not p[-1]:
             p.pop()
         return p
 
-    def sub_scaled(p, q, c, shift):
-        for i, qc in enumerate(q):
-            if qc:
-                while len(p) <= i + shift:
-                    p.append(Rat(0))
-                p[i + shift] -= c * qc
-        return trim(p)
-
-    trim(r0), trim(r1)
+    r0, s0 = trim(list(b)), []
+    r1, s1 = trim(list(a)), [1]
     while r1:
-        while len(r0) >= len(r1) and r0:
-            c = r0[-1] / r1[-1]
-            shift = len(r0) - len(r1)
-            sub_scaled(r0, r1, c, shift)
-            sub_scaled(s0, s1, c, shift)
-            if not r0:
-                break
+        lead = r1[-1]
+        while len(r0) >= len(r1):
+            c, shift = r0[-1], len(r0) - len(r1)
+            r0 = [lead * x for x in r0]
+            s0 = [lead * x for x in s0] + [0] * (len(s1) + shift - len(s0))
+            for i, y in enumerate(r1, shift):
+                r0[i] -= c * y
+            for i, y in enumerate(s1, shift):
+                s0[i] -= c * y
+            trim(r0), trim(s0)
+        g = gcd(*r0, *s0)
+        if g > 1:
+            r0, s0 = [x // g for x in r0], [x // g for x in s0]
         r0, r1, s0, s1 = r1, r0, s1, s0
     if not r0:
         raise DivisionByZero("gcd of zero polynomials")
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0]
+    return r0, s0
 
 
-# ---------------------------------------------------------------------------
+def _root_rows(n):
+    """The reduced rows z^e mod Phi_n for phi(n) <= e < n, as a list indexed by
+    e - phi(n), and a dict from each row back to its e.
+
+    Built once per n by shift-and-reduce: (n - phi(n)) rows of phi(n)
+    integers, a single row for a prime n.  z^e for e < phi(n) is a unit
+    vector and is never stored.
+    """
+    if n not in _ROW_CACHE:
+        phi = euler_phi(n)
+        low = cyclotomic_polynomial(n)[:phi]
+        terms = [(j, d) for j, d in enumerate(low) if d]
+        rows, row = [], [-d for d in low]  # z^phi = -(Phi_n - z^phi)
+        for _ in range(phi, n):
+            rows.append(tuple(row))
+            top = row.pop()
+            row.insert(0, 0)
+            if top:
+                for j, d in terms:
+                    row[j] -= top * d
+        _ROW_CACHE[n] = (rows, {r: e for e, r in enumerate(rows, phi)})
+    return _ROW_CACHE[n]
 
 
-_RAT_TYPE = type(Rat(0))
+def _normal(n, num, den):
+    """The Cyclotomic of integer numerators num (phi(n) of them, reduced
+    modulo Phi_n) over den > 0: a rational value is demoted to conductor 1,
+    and one gcd makes numerators and denominator coprime."""
+    if n > 1 and not any(num[1:]):
+        n, num = 1, num[:1]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+    return _make(n, tuple(num), den)
+
+
+def _rat(num, den):
+    """The rational num / den, den > 0, as a Cyclotomic of conductor 1."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+    return _make(1, (num,), den)
 
 
 class Cyclotomic:
     """Exact element of Q(zeta_N) in the power basis modulo Phi_N.
 
-    Immutable.  Values that turn out rational are demoted to conductor 1, so
-    plain rational arithmetic stays on a fast path.
+    Immutable.  Stored as the conductor label n, a tuple of integer
+    numerators (the coordinates of z^0, ..., z^(phi(n)-1), reduced modulo
+    Phi_n) and one positive integer denominator, with no common factor
+    across them, so a value has one normal form at each label.  The label
+    of a sum, difference or product is the lcm of the operands' labels,
+    demoted only to 1: a value that turns out rational is stored at
+    conductor 1, so zero is always the conductor-1 zero and rational
+    arithmetic stays on a fast path, but a value of Q(zeta_15) computed at
+    label 30 keeps the label 30.  ``c`` gives the coordinates as Rats.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("_n", "_num", "_den")
     __hash__ = None
+
+    n = property(attrgetter("_n"), doc="The conductor label N.")
 
     def __init__(self, conductor, coeffs, _reduced=False):
         if conductor < 1:
             raise ValueError("conductor must be positive")
-        cs = [x if isinstance(x, _RAT_TYPE) else Rat(x) for x in coeffs]
+        qs = [x if isinstance(x, Rat) else Rat(x) for x in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        num = [q.numerator * (den // q.denominator) for q in qs]
+        phi = euler_phi(conductor)
         if not _reduced:
-            cs = _reduce_mod_cyclo(cs, conductor)
-        elif len(cs) != euler_phi(conductor):
+            num = _divmod_monic(num, cyclotomic_polynomial(conductor))[1]
+            num += [0] * (phi - len(num))
+        elif len(num) != phi:
             raise ValueError("coefficient vector has wrong length")
-        if conductor > 1 and not any(cs[1:]):
-            conductor, cs = 1, cs[:1]
-        object.__setattr__(self, "n", conductor)
-        object.__setattr__(self, "c", tuple(cs))
-
-    @staticmethod
-    def _make(conductor, coeffs):
-        """Internal: wrap an already-reduced, already-demoted coefficient
-        tuple without re-validating (hot-path constructor)."""
-        self = object.__new__(Cyclotomic)
-        object.__setattr__(self, "n", conductor)
-        object.__setattr__(self, "c", coeffs)
-        return self
-
-    def __setattr__(self, *_):
-        raise AttributeError("Cyclotomic is immutable")
+        x = _normal(conductor, num, den)
+        self._n, self._num, self._den = x._n, x._num, x._den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rat(cls, x):
-        return cls(1, (Rat(x),), _reduced=True)
+        if not isinstance(x, (int, Rat)):
+            x = Rat(x)
+        return _make(1, (int(x.numerator),), int(x.denominator))
 
     @classmethod
     def zero(cls):
@@ -260,112 +295,139 @@ class Cyclotomic:
         """zeta_q^p."""
         if q < 1:
             raise ValueError("order must be positive")
-        return cls(q, _power_table(q)[p % q], _reduced=True)
+        e, phi = p % q, euler_phi(q)
+        if e < phi:
+            num = [0] * phi
+            num[e] = 1
+        else:
+            num = _root_rows(q)[0][e - phi]
+        return _normal(q, num, 1)
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def c(self):
+        """Coordinates in the power basis, as a tuple of Rat."""
+        den = self._den
+        return tuple(Rat(x, den) for x in self._num)
+
+    @property
     def is_zero(self):
-        return not any(self.c)
+        return self._n == 1 and not self._num[0]
 
     @property
     def rational_value(self):
         """The value as a Rat when the element lies in Q, else None."""
-        return self.c[0] if self.n == 1 else None
+        return Rat(self._num[0], self._den) if self._n == 1 else None
 
-    def _embed_vec(self, m):
-        """Coordinate vector in Q(zeta_m), length phi(m); requires n | m."""
-        if self.n == m:
-            return list(self.c)
-        if m % self.n:
+    def _embed_num(self, m):
+        """Integer numerators in Q(zeta_m), over the same denominator, length
+        phi(m); requires n | m.  A rational builds no rows."""
+        n = self._n
+        if n == m:
+            return self._num
+        if m % n:
             raise ValueError("can only embed into a multiple conductor")
-        acc = [Rat(0)] * euler_phi(m)
-        if self.n == 1:
-            acc[0] = self.c[0]
+        phi = euler_phi(m)
+        acc = [0] * phi
+        if n == 1:
+            acc[0] = self._num[0]
             return acc
-        table = _power_table(m)
-        step = m // self.n
-        for i, ci in enumerate(self.c):
-            if ci:
-                for j, pj in enumerate(table[(step * i) % m]):
-                    if pj:
-                        acc[j] += ci * pj
+        step = m // n
+        for i, x in enumerate(self._num):
+            if x:
+                e = step * i
+                if e < phi:
+                    acc[e] += x
+                else:
+                    for j, r in enumerate(_root_rows(m)[0][e - phi]):
+                        if r:
+                            acc[j] += x * r
         return acc
 
     def embed(self, m):
         """Image in Q(zeta_m) (the value is unchanged)."""
-        return Cyclotomic(m, self._embed_vec(m), _reduced=True)
+        return _normal(m, self._embed_num(m), self._den)
 
     def _pair(self, other):
-        """Common conductor and raw coordinate vectors of both operands."""
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rat(other)
-        if self.n == other.n:
-            return self.n, self.c, other.c
-        m = lcm(self.n, other.n)
-        return m, self._embed_vec(m), other._embed_vec(m)
+        """Common conductor and the integer numerators of both operands."""
+        if self._n == other._n:
+            return self._n, self._num, other._num
+        m = lcm(self._n, other._n)
+        return m, self._embed_num(m), other._embed_num(m)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, Cyclotomic) and other.n == 1 and self.n == 1:
-            return Cyclotomic._make(1, (self.c[0] + other.c[0],))
+    def _add(self, other, op):
+        """op(self, other) for op in (add, sub): numerators over a common
+        denominator, normalised by one gcd."""
+        if not isinstance(other, Cyclotomic):
+            other = Cyclotomic.from_rat(other)
+        da, db = self._den, other._den
+        if self._n == 1 and other._n == 1:
+            if da == db == 1:
+                return _make(1, (op(self._num[0], other._num[0]),), 1)
+            return _rat(op(self._num[0] * db, other._num[0] * da), da * db)
         m, a, b = self._pair(other)
-        cs = tuple(x + y for x, y in zip(a, b))
-        if m > 1 and not any(cs[1:]):
-            return Cyclotomic._make(1, cs[:1])
-        return Cyclotomic._make(m, cs)
+        if da == db:
+            return _normal(m, list(map(op, a, b)), da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _normal(m, [op(x * sa, y * sb) for x, y in zip(a, b)], da * sa)
+
+    def __add__(self, other):
+        return self._add(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Cyclotomic) and other.n == 1 and self.n == 1:
-            return Cyclotomic._make(1, (self.c[0] - other.c[0],))
-        m, a, b = self._pair(other)
-        cs = tuple(x - y for x, y in zip(a, b))
-        if m > 1 and not any(cs[1:]):
-            return Cyclotomic._make(1, cs[:1])
-        return Cyclotomic._make(m, cs)
+        return self._add(other, sub)
 
     def __rsub__(self, other):
         return Cyclotomic.from_rat(other) - self
 
     def __neg__(self):
-        return Cyclotomic._make(self.n, tuple(-x for x in self.c))
+        return _make(self._n, tuple(-x for x in self._num), self._den)
 
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic.from_rat(other)
-        if other.n == 1 or self.n == 1:
-            # a rational factor scales the other's coordinates: no embedding,
+        if other._n == 1 or self._n == 1:
+            # a rational factor scales the other's numerators: no embedding,
             # no convolution, and the same demotion as the general product
-            r, x = (other.c[0], self) if other.n == 1 else (self.c[0], other)
-            if r == 1:
+            r, x = (other, self) if other._n == 1 else (self, other)
+            rn, rd = r._num[0], r._den
+            if x._n == 1:
+                return _rat(rn * x._num[0], rd * x._den)
+            if rn == 1 and rd == 1:
                 return x
-            cs = tuple(ci * r if ci else ci for ci in x.c)
-            if x.n > 1 and not any(cs[1:]):
-                return Cyclotomic._make(1, cs[:1])
-            return Cyclotomic._make(x.n, cs)
+            return _normal(x._n, [c * rn for c in x._num], x._den * rd)
         m, a, b = self._pair(other)
-        prod = [Rat(0)] * (2 * len(a) - 1)
+        prod = [0] * (2 * len(a) - 1)
+        bs = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic(m, prod)
+                for j, y in bs:
+                    prod[i + j] += x * y
+        num = _divmod_monic(prod, cyclotomic_polynomial(m))[1]
+        return _normal(m, num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        if self.n == 1:
-            return Cyclotomic(1, (Rat(1) / self.c[0],), _reduced=True)
-        g, s = _poly_xgcd(list(self.c), list(cyclotomic_polynomial(self.n)))
+        if self._n == 1:
+            num, den = self._num[0], self._den
+            return _make(1, (den,), num) if num > 0 else _make(1, (-den,), -num)
+        # s * num = g modulo Phi_n for an integer g, so the inverse of
+        # num / den is den * s / g; deg s < phi(n)
+        g, s = _poly_xgcd(self._num, cyclotomic_polynomial(self._n))
         if len(g) != 1:  # Phi_n is irreducible, so gcd is 1 unless self == 0
             raise DivisionByZero("inverse of zero")
-        return Cyclotomic(self.n, [c / g[0] for c in s])
+        scale = self._den if g[0] > 0 else -self._den
+        s = [c * scale for c in s] + [0] * (euler_phi(self._n) - len(s))
+        return _normal(self._n, s, abs(g[0]))
 
     def __truediv__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -387,32 +449,40 @@ class Cyclotomic:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(Rat(0)))):
-            return self.n == 1 and self.c[0] == other
+        if isinstance(other, (int, Rat)):
+            return self._n == 1 and self._num[0] == other.numerator and self._den == other.denominator
         if not isinstance(other, Cyclotomic):
             return NotImplemented
+        if self._n == other._n:
+            return self._num == other._num and self._den == other._den
         _, a, b = self._pair(other)
-        return list(a) == list(b)
+        da, db = self._den, other._den
+        return all(x * db == y * da for x, y in zip(a, b))
 
     # -- roots of unity ----------------------------------------------------
 
     def as_root_of_unity(self):
         """Minimal (q, p) with self = zeta_q^p and gcd(p, q) = 1, or None.
 
-        The roots of unity in Q(zeta_n) are the +-zeta_n^j, 0 <= j < n, and
-        +-zeta_n^j = zeta_2n^k with k = 2j, or 2j + n for the negated one.
+        The roots of unity in Q(zeta_n) are the +-zeta_n^j, 0 <= j < n: a
+        single +-1 coordinate for j < phi(n), else a reduced row or its
+        negation.  +-zeta_n^j = zeta_2n^k with k = 2j, or 2j + n for the
+        negated one.
         """
-        n = self.n
-        neg = tuple(-x for x in self.c)
-        for j, row in enumerate(_power_table(n)):
-            if row == self.c:
-                k = 2 * j
-                break
-            if row == neg:
-                k = (2 * j + n) % (2 * n)
-                break
-        else:
+        if self._den != 1:
             return None
+        n, num = self._n, self._num
+        nonzero = [i for i, x in enumerate(num) if x]
+        if len(nonzero) == 1 and num[nonzero[0]] in (1, -1):
+            j, negated = nonzero[0], num[nonzero[0]] < 0
+        else:
+            index = _root_rows(n)[1]
+            j, negated = index.get(num), False
+            if j is None:
+                j, negated = index.get(tuple(-x for x in num)), True
+                if j is None:
+                    return None
+        k = (2 * j + n) % (2 * n) if negated else 2 * j
         g = gcd(k, 2 * n)
         return (2 * n // g, k // g)
 
@@ -425,25 +495,34 @@ class Cyclotomic:
         ru = self.as_root_of_unity()
         if ru is not None:
             return (1, Rat(ru[0]), ru[1])
-        return (2, Rat(self.n), tuple((int(x.numerator), int(x.denominator)) for x in self.c))
+        return (2, Rat(self._n), tuple((x.numerator, x.denominator) for x in self.c))
 
     def __repr__(self):
-        if self.n == 1:
-            return rat_str(self.c[0])
+        if self._n == 1:
+            return rat_str(self.rational_value)
         terms = []
         for i, ci in enumerate(self.c):
             if ci:
                 if i == 0:
                     terms.append(rat_str(ci))
                 elif ci == 1:
-                    terms.append(f"z{self.n}^{i}" if i > 1 else f"z{self.n}")
+                    terms.append(f"z{self._n}^{i}" if i > 1 else f"z{self._n}")
                 else:
-                    terms.append(f"{rat_str(ci)}*z{self.n}" + (f"^{i}" if i > 1 else ""))
+                    terms.append(f"{rat_str(ci)}*z{self._n}" + (f"^{i}" if i > 1 else ""))
         return " + ".join(terms) if terms else "0"
 
 
-_ZERO = Cyclotomic(1, (Rat(0),), _reduced=True)
-_ONE = Cyclotomic(1, (Rat(1),), _reduced=True)
+def _make(n, num, den):
+    """Wrap numerators and a denominator already in normal form (hot-path
+    constructor, no validation)."""
+    self = _new(Cyclotomic)
+    self._n, self._num, self._den = n, num, den
+    return self
+
+
+_new = object.__new__
+_ZERO = _make(1, (0,), 1)
+_ONE = _make(1, (1,), 1)
 
 
 def as_cyclotomic(x):
@@ -502,7 +581,7 @@ class ExponentClass:
     def __eq__(self, other):
         if isinstance(other, ExponentClass):
             return self.value == other.value
-        if isinstance(other, (int, type(Rat(0)))):
+        if isinstance(other, (int, Rat)):
             return self == ExponentClass(other)
         return NotImplemented
 

@@ -6,7 +6,9 @@ gamma_inverse.
 """
 
 import random
-from math import gcd
+import subprocess
+import sys
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,196 @@ class TestCyclotomic:
         assert e == x
         assert e.is_zero == x.is_zero
         assert (x * x).embed(m) == e * e
+
+
+def _ref_power(k, m):
+    """z^k in Q(zeta_m) by reducing the monomial x^k modulo Phi_m."""
+    row = _divmod_monic([Rat(0)] * k + [Rat(1)], cyclotomic_polynomial(m))[1]
+    return row + [Rat(0)] * (euler_phi(m) - len(row))
+
+
+def _ref_coords(x, m):
+    """Rational coordinates of x in Q(zeta_m), x.n | m, from its own
+    coordinates and the reduced monomials z_m^(i m / n)."""
+    acc = [Rat(0)] * euler_phi(m)
+    for i, ci in enumerate(x.c):
+        for j, pj in enumerate(_ref_power(i * (m // x.n), m)):
+            acc[j] += ci * pj
+    return acc
+
+
+def _ref_result(m, coords):
+    """(conductor, coordinates) under the label rule: the lcm label m,
+    demoted only to 1 when the value is rational."""
+    if not any(coords[1:]):
+        return (1, (coords[0],))
+    return (m, tuple(coords))
+
+
+def _ref_ops(x, y):
+    """Schoolbook Fraction sum, difference and product at lcm(x.n, y.n)."""
+    m = lcm(x.n, y.n)
+    a, b = _ref_coords(x, m), _ref_coords(y, m)
+    prod = [Rat(0)] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    prod = _divmod_monic(prod, cyclotomic_polynomial(m))[1]
+    prod += [Rat(0)] * (euler_phi(m) - len(prod))
+    return {
+        "+": _ref_result(m, [u + v for u, v in zip(a, b)]),
+        "-": _ref_result(m, [u - v for u, v in zip(a, b)]),
+        "*": _ref_result(m, prod),
+    }
+
+
+KERNEL_CONDUCTORS = [1, 3, 4, 12, 15, 30, 60, 84]
+
+
+def _random_element(rng, n):
+    """A seeded element of Q(zeta_n): dense, sparse, integral, a root of
+    unity, or a value of a subfield carried at the label n."""
+    phi = euler_phi(n)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Cyclotomic(n, [Rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(phi)])
+    if kind == 1:
+        return Cyclotomic(n, [Rat(rng.choice((0, 0, 1, -2, 5)), rng.choice((1, 2, 3))) for _ in range(phi)])
+    if kind == 2:
+        return Cyclotomic(n, [rng.randint(-3, 3) for _ in range(phi)])
+    if kind == 3:
+        return Cyclotomic.root_of_unity(n, rng.randrange(n))
+    d = rng.choice([d for d in divisors(n)])
+    return Cyclotomic(d, [Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(euler_phi(d))]).embed(n)
+
+
+class TestIntegerKernel:
+    """The integer-numerator kernel against Fraction schoolbook arithmetic
+    reduced by Phi_n, with the label of every result pinned."""
+
+    @pytest.mark.parametrize("n", KERNEL_CONDUCTORS)
+    def test_same_conductor_matches_reference(self, n):
+        self._check_pairs(random.Random(n), [(n, n)] * 12)
+
+    def test_mixed_conductors_match_reference(self):
+        rng = random.Random(7)
+        pairs = [(a, b) for a in KERNEL_CONDUCTORS for b in KERNEL_CONDUCTORS if a != b]
+        self._check_pairs(rng, pairs)
+
+    @staticmethod
+    def _check_pairs(rng, pairs):
+        for na, nb in pairs:
+            x, y = _random_element(rng, na), _random_element(rng, nb)
+            ref = _ref_ops(x, y)
+            for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
+                assert (got.n, got.c) == ref[op], (x, y, op)
+            m = lcm(x.n, y.n)
+            assert (x == y) == (_ref_coords(x, m) == _ref_coords(y, m))
+            assert x == x.embed(m) and (x - y == 0) == (x == y)
+            if not x.is_zero:
+                inv = x.inverse()
+                assert inv.n == x.n
+                assert _ref_ops(x, inv)["*"] == (1, (Rat(1),)), x
+
+    def test_pinned_labels(self):
+        z30, z12 = Cyclotomic.root_of_unity(30), Cyclotomic.root_of_unity(12)
+        # zeta_30^2 = zeta_15 keeps the label 30
+        x = z30 * z30
+        assert (x.n, x.c) == (30, tuple(_ref_power(2, 30)))
+        assert x == Cyclotomic.root_of_unity(15) and x.as_root_of_unity() == (15, 1)
+        y = Cyclotomic(15, [Rat(i - 3, 2) for i in range(8)]) * z30 * z30
+        assert y.n == 30 and y == Cyclotomic(15, [Rat(i - 3, 2) for i in range(8)]) * Cyclotomic.root_of_unity(15)
+        # zeta_12^3 = i keeps the label 12, also as a sum with a Q(i) value
+        i12 = z12 ** 3
+        assert (i12.n, i12.c) == (12, tuple(_ref_power(3, 12)))
+        s = i12 + Cyclotomic.root_of_unity(4)
+        assert (s.n, s.c) == (12, tuple(2 * c for c in _ref_power(3, 12)))
+        # only a rational value is demoted, and zero always to (1, (0,))
+        assert ((z12 ** 6).n, (z12 ** 6).c) == (1, (Rat(-1),))
+        assert ((s - s).n, (s - s).c) == (1, (Rat(0),))
+        assert ((y * 0).n, (y * 0).c, (y * 0).is_zero) == (1, (Rat(0),), True)
+        half = Cyclotomic(12, [Rat(1, 2), 0, 0, 0])
+        assert (half.n, half.c) == (1, (Rat(1, 2),))
+
+    def test_normal_form_is_unique(self):
+        # one value reached by different routes has one encoding at a label
+        z = Cyclotomic.root_of_unity(60, 7)
+        a = (z * Rat(2, 3) + z * Rat(1, 3)) * Rat(6, 4) - z * Rat(1, 2)
+        assert (a.n, a.c, a._num, a._den) == (z.n, z.c, z._num, z._den)
+        b = Cyclotomic(84, [Rat(1, 6)] * 24)
+        assert (b._den, gcd(b._den, *b._num)) == (6, 1)
+
+
+def _expected_root(q, p, negated):
+    """Minimal (order, exponent) of +-zeta_q^p: -zeta_q^p = zeta_2q^(2p+q)."""
+    k, order = ((2 * p + q) % (2 * q), 2 * q) if negated else (p % q, q)
+    g = gcd(k, order)
+    return (order // g, k // g)
+
+
+class TestRootsOfUnityRoundTrip:
+    def test_every_root_up_to_120(self):
+        for q in range(1, 121):
+            for p in range(q):
+                root = Cyclotomic.root_of_unity(q, p)
+                assert root.as_root_of_unity() == _expected_root(q, p, False), (q, p)
+                assert (-root).as_root_of_unity() == _expected_root(q, p, True), (q, p)
+
+    @pytest.mark.parametrize("q", [1009, 2003, 4093])
+    def test_large_prime_orders(self, q):
+        rng = random.Random(q)
+        for p in [0, 1, 2, q // 2, q - 2, q - 1] + rng.sample(range(q), 12):
+            root = Cyclotomic.root_of_unity(q, p)
+            assert root.as_root_of_unity() == _expected_root(q, p, False), (q, p)
+            assert (-root).as_root_of_unity() == _expected_root(q, p, True), (q, p)
+        # the only stored row of a prime order is z^(q-1) = -(1 + z + ... + z^(q-2))
+        rows, index = scalar._root_rows(q)
+        assert rows == [(-1,) * (q - 1)] and index == {(-1,) * (q - 1): q - 1}
+        assert (Cyclotomic.root_of_unity(q) * 2).as_root_of_unity() is None
+        # 1 + z + ... + z^(q-2) = -z^(q-1) = zeta_2q^(q-2)
+        assert Cyclotomic(q, [1] * (q - 1)).as_root_of_unity() == (2 * q, q - 2)
+
+
+_CLIFF_CHILD = """
+import resource, sys, time
+try:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+except (ValueError, OSError):
+    pass
+from fractions import Fraction
+from fuchskit import exponents, mon, rank_one
+from fuchskit.scalar import Cyclotomic
+start = time.perf_counter()
+module = rank_one(Fraction(1, 100003))
+sigma, exps = mon(module), exponents(module)
+elapsed = time.perf_counter() - start
+assert sigma.monodromy.data[0][0] == Cyclotomic.root_of_unity(100003, -1)
+assert [repr(e) for e in exps.entries] == ["1/100003"]
+try:
+    # the peak of this address space; ru_maxrss survives exec, so it would
+    # carry the peak of the test process that started this one
+    with open("/proc/self/status") as fh:
+        kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+print(elapsed, kb / 1024)
+"""
+
+
+class TestLargePrimeConductor:
+    def test_rank_one_mon_at_100003_stays_small(self):
+        # in a child process under an address-space limit: a table of every
+        # z^e at this conductor would take tens of gigabytes
+        pytest.importorskip("resource")
+        import os
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", _CLIFF_CHILD], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        elapsed, rss_mb = map(float, done.stdout.split())
+        assert elapsed < 5, elapsed
+        assert rss_mb < 50, rss_mb
 
 
 class TestExponentClass:
@@ -273,8 +465,9 @@ class TestNumberTheory:
         assert cyclotomic_polynomial(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
 
     def test_rational_embedding_builds_no_power_table(self):
-        m = 4093  # prime; no other test reaches this conductor
-        assert m not in scalar._POWER_CACHE
-        vec = Cyclotomic.from_rat(Rat(-3, 7))._embed_vec(m)
-        assert m not in scalar._POWER_CACHE
-        assert len(vec) == m - 1 and vec[0] == Rat(-3, 7) and not any(vec[1:])
+        m = 4093  # prime
+        scalar._ROW_CACHE.pop(m, None)
+        x = Cyclotomic.from_rat(Rat(-3, 7))
+        num = x._embed_num(m)
+        assert m not in scalar._ROW_CACHE
+        assert len(num) == m - 1 and (num[0], x._den) == (-3, 7) and not any(num[1:])
