@@ -8,7 +8,6 @@ error (machine-readable error object), 2 malformed input.
 
 import argparse
 import json
-import os
 import sys
 
 from . import jsonio
@@ -25,7 +24,6 @@ from .functors import (
 )
 from .diffmod import DiffModule, ext_dim, horizontal_hom
 from .generate import Sizes
-from .linalg import DEFAULT_CONDUCTOR_BOUND
 from .sigmamod import trivialize
 from .verify import run_suite
 
@@ -40,16 +38,6 @@ DATA_COMMANDS = (
     "ext",
     "trivialize",
 )
-
-
-def _conductor_bound_default():
-    value = os.environ.get("FUCHS_KIT_CONDUCTOR_BOUND")
-    if value is None:
-        return DEFAULT_CONDUCTOR_BOUND
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return DEFAULT_CONDUCTOR_BOUND
 
 
 def build_parser():
@@ -77,12 +65,6 @@ def build_parser():
         if name != "verify":
             p.add_argument("--input", help="path to the JSON input ('-' for stdin)")
             p.add_argument("--json", dest="inline", help="inline JSON input")
-            p.add_argument(
-                "--conductor-bound",
-                type=int,
-                default=_conductor_bound_default(),
-                help="largest root-of-unity order searched for eigenvalues",
-            )
     for name in ("exponents", "mon", "constant-form", "fuchs", "hom", "ext"):
         parsers[name].add_argument(
             "--exponent-candidates",
@@ -117,7 +99,7 @@ def _read_input(args):
 
 
 def _search_options(args):
-    opts = {"conductor_bound": args.conductor_bound}
+    opts = {}
     if getattr(args, "exponent_candidates", None):
         opts["exponent_candidates"] = [
             jsonio.decode_exponent_class(part.strip(), "exponent candidate")
@@ -144,7 +126,6 @@ def _run_command(args):
         only = None if args.suite == "all" else args.suite
         return run_suite(seed=args.seed, cases=args.cases, sizes=sizes, only=only)
 
-    bound = args.conductor_bound
     doc = _read_input(args)
     if args.command == "exponents":
         module = jsonio.decode_diffmodule(doc)
@@ -155,7 +136,7 @@ def _run_command(args):
         return jsonio.encode_sigmamodule(mon(module, **_search_options(args)))
     if args.command == "rm":
         v = jsonio.decode_sigmamodule(doc)
-        return jsonio.encode_diffmodule(rm(v, conductor_bound=bound))
+        return jsonio.encode_diffmodule(rm(v))
     if args.command == "constant-form":
         module = jsonio.decode_diffmodule(doc)
         cf = ensure_constant_form(module, **_search_options(args))
@@ -189,15 +170,15 @@ def _run_command(args):
         )
         if args.command == "ext":
             return {"dimension": ext_dim(c1, c2)}
-        space = horizontal_hom(c1, c2, bound)
+        space = horizontal_hom(c1, c2)
         return {
             "dimension": space.dimension,
             "basis": [jsonio.encode_matrix(f, jsonio.encode_laurent) for f in space.basis],
-            "mon_comparison": _hom_report(c1, c2, space, bound),
+            "mon_comparison": _hom_report(c1, c2, space),
         }
     if args.command == "trivialize":
         v = jsonio.decode_sigmamodule(doc)
-        b = trivialize(v, conductor_bound=bound)
+        b = trivialize(v)
         return {"basis": jsonio.encode_matrix(b, jsonio.encode_expring)}
     raise AssertionError(f"unhandled command {args.command}")
 

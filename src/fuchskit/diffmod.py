@@ -21,7 +21,6 @@ from .errors import (
 )
 from .laurent import LaurentPoly
 from .linalg import (
-    DEFAULT_CONDUCTOR_BOUND,
     Matrix,
     charpoly,
     det_and_adjugate,
@@ -247,7 +246,7 @@ def _block_fundamental(a_value, size):
     return exp_ell_n(size).map(lambda e: t_neg_a * e)
 
 
-def fundamental_matrix(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
+def fundamental_matrix(module):
     """U in GL_n(E_A) with partial(U) = -G U, for a constant matrix G.
 
     Built blockwise from the Jordan form: U = P (t^{-a} exp(-ell N)) P^-1.
@@ -256,7 +255,7 @@ def fundamental_matrix(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     """
     module.require_standard_derivation()
     g = module.constant_matrix()
-    jd = jordan_form(g, conductor_bound)
+    jd = jordan_form(g)
     blocks = []
     for lam, size in jd.blocks:
         rv = lam.rational_value
@@ -363,7 +362,7 @@ def _sylvester_operator(c_m, c_n):
     return Matrix(cols).transpose(), dim
 
 
-def horizontal_hom(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
+def horizontal_hom(m1, m2):
     """Basis of Hom^nabla(M1, M2) over A for constant connection matrices.
 
     The equation partial(F) + C2 F - F C1 = 0 splits by Laurent mode; mode k
@@ -372,8 +371,8 @@ def horizontal_hom(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     """
     m1._same_derivation(m2)
     c1, c2 = m1.constant_matrix(), m2.constant_matrix()
-    eig1 = poly_roots(charpoly(c1), conductor_bound)
-    eig2 = poly_roots(charpoly(c2), conductor_bound)
+    eig1 = poly_roots(charpoly(c1))
+    eig2 = poly_roots(charpoly(c2))
     modes = set()
     for a, _ in eig1:
         for b, _ in eig2:

@@ -27,7 +27,8 @@ class NonSquare(FuchsKitError):
 
 class EigenvalueNotFound(FuchsKitError):
     """Characteristic polynomial has a factor with no root in Q or in the
-    roots of unity up to the conductor bound."""
+    roots of unity.  The search for such roots is exhaustive (the degree
+    bounds their orders), so this is a certificate, not a missed search."""
 
 
 class NotInvertibleOverA(FuchsKitError):

@@ -29,7 +29,6 @@ from .errors import (
 from .expring import ExpRingElem, GroupAlgElem
 from .laurent import LaurentPoly, kernel_partial_plus, kernel_partial_square
 from .linalg import (
-    DEFAULT_CONDUCTOR_BOUND,
     Matrix,
     charpoly,
     det_cofactor,
@@ -243,7 +242,6 @@ def find_constant_form(
     module,
     exponent_candidates=None,
     laurent_degree_bound=DEFAULT_DEGREE_BOUND,
-    conductor_bound=DEFAULT_CONDUCTOR_BOUND,
 ):
     """Search for a gauge H over A making the connection matrix constant.
 
@@ -285,8 +283,8 @@ def find_constant_form(
     # the ell^0 rows of sigma(W), summed over k in increasing order as ExpRingElem.sigma does
     sigma_w0 = [[sum((w[j] * gamma(sc) for w in chain[1:]), chain[0][j] * gamma(sc)) for j in range(n)]
                 for sc, chain in sections]
-    jd = jordan_form(match_left_factor(ell0_rows(w0), ell0_rows(sigma_w0)), conductor_bound)
-    blocks = [(lam, gamma_inverse(lam.inverse()), size) for lam, size in jd.blocks]
+    jd = jordan_form(match_left_factor(ell0_rows(w0), ell0_rows(sigma_w0)))
+    blocks = [(lam, -gamma_inverse(lam), size) for lam, size in jd.blocks]
     q_inv_w0 = jd.transform.inverse().map(LaurentPoly.from_scalar) * Matrix(w0)
     h = Matrix.block_diag([_seed_block_inverse(lam, a, size) for lam, a, size in blocks]) * q_inv_w0
     c = Matrix.block_diag([jordan_block(a.as_cyclotomic(), size) for _, a, size in blocks])
@@ -337,17 +335,17 @@ def horizontal_sections(
 # the equivalence
 
 
-def _constant_form_or_not_regular(module, conductor_bound, **opts):
+def _constant_form_or_not_regular(module, **opts):
     try:
-        return ensure_constant_form(module, conductor_bound=conductor_bound, **opts)
+        return ensure_constant_form(module, **opts)
     except NotFoundWithinBounds as exc:
         raise NotRegularWithinBounds(str(exc)) from exc
 
 
-def mon(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
+def mon(module, **opts):
     """The monodromy representation: J(a, n) blocks become J(gamma(-a), n)."""
-    cf = _constant_form_or_not_regular(module, conductor_bound, **opts)
-    jd = jordan_form(cf.constant, conductor_bound)
+    cf = _constant_form_or_not_regular(module, **opts)
+    jd = jordan_form(cf.constant)
     blocks = []
     for a, size in jd.blocks:
         cls = ExponentClass.from_scalar(a)
@@ -355,20 +353,20 @@ def mon(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
     return SigmaModule(Matrix.block_diag(blocks))
 
 
-def rm(v, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
-    """The inverse dictionary: J(lam, n) blocks become J(gamma_inverse(1/lam), n)."""
-    jd = jordan_form(v.monodromy, conductor_bound)
+def rm(v):
+    """The inverse dictionary: J(lam, n) blocks become J(-gamma_inverse(lam), n)."""
+    jd = jordan_form(v.monodromy)
     blocks = []
     for lam, size in jd.blocks:
-        a = gamma_inverse(lam.inverse())
+        a = -gamma_inverse(lam)
         blocks.append(jordan_block(a.as_cyclotomic(), size))
     return DiffModule.from_constant(Matrix.block_diag(blocks))
 
 
-def exponents(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
+def exponents(module, **opts):
     """Eigenvalues of a constant form, reduced mod Z, with multiplicity."""
-    cf = _constant_form_or_not_regular(module, conductor_bound, **opts)
-    roots = poly_roots(charpoly(cf.constant), conductor_bound)
+    cf = _constant_form_or_not_regular(module, **opts)
+    roots = poly_roots(charpoly(cf.constant))
     classes = []
     for lam, mult in roots:
         cls = ExponentClass.from_scalar(lam)
@@ -389,15 +387,15 @@ class FuchsDecomposition:
     exponent_multiset: ExponentMultiset
 
 
-def fuchs_decomposition(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
+def fuchs_decomposition(module, **opts):
     """Jordan-Hoelder data: compose the constant form with a constant
     conjugation to Jordan shape, exposing the flag of rank-one sub-quotients.
     The gauge P^-1 H is checked over A without an inverse, as in
     find_constant_form: partial(P^-1 H) + P^-1 H G = J P^-1 H.  It needs no
     invertibility test of its own, since P is a constant invertible matrix
     and H is certified invertible by find_constant_form (or is I)."""
-    cf = _constant_form_or_not_regular(module, conductor_bound, **opts)
-    jd = jordan_form(cf.constant, conductor_bound)
+    cf = _constant_form_or_not_regular(module, **opts)
+    jd = jordan_form(cf.constant)
     p_inv = jd.transform.inverse().map(LaurentPoly.from_scalar)
     gauge = p_inv * cf.gauge
     triangular = jd.jordan_matrix()
@@ -420,7 +418,7 @@ def fuchs_decomposition(module, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts)
 _WITNESS_TRIALS = 40  # rungs of the coefficient ladder (i+1)^trial tried before giving up
 
 
-def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
+def horizontal_isomorphism(m1, m2):
     """An explicit invertible horizontal morphism M1 -> M2 over A, or None
     (always None when the dimensions differ).
 
@@ -430,7 +428,7 @@ def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     candidate is horizontal, so it is invertible exactly when its value at
     t = 1 is (see _horizontal_is_invertible).
     """
-    space = horizontal_hom(m1, m2, conductor_bound)
+    space = horizontal_hom(m1, m2)
     if not space.basis or m1.dim != m2.dim:
         return None
     for f in space.basis:
@@ -445,23 +443,22 @@ def horizontal_isomorphism(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     return None
 
 
-def mon_hom_compare(m1, m2, conductor_bound=DEFAULT_CONDUCTOR_BOUND, **opts):
+def mon_hom_compare(m1, m2, **opts):
     """Check dim Hom^nabla(M, N) = dim Hom^Z(Mon M, Mon N), plus the exponent
     arithmetic of tensor and dual.  Returns a report dict."""
-    c1, c2 = (DiffModule.from_constant(_constant_form_or_not_regular(m, conductor_bound, **opts).constant)
-              for m in (m1, m2))
-    return _hom_report(c1, c2, horizontal_hom(c1, c2, conductor_bound), conductor_bound)
+    c1, c2 = (DiffModule.from_constant(_constant_form_or_not_regular(m, **opts).constant) for m in (m1, m2))
+    return _hom_report(c1, c2, horizontal_hom(c1, c2))
 
 
-def _hom_report(c1, c2, space, conductor_bound):
+def _hom_report(c1, c2, space):
     """mon_hom_compare's report for constant modules c1, c2 and the
     horizontal Hom space between them."""
     d_hom = space.dimension
-    d_mon = hom_dim(mon(c1, conductor_bound), mon(c2, conductor_bound))
-    e1 = exponents(c1, conductor_bound)
-    e2 = exponents(c2, conductor_bound)
-    tensor_ok = exponents(tensor(c1, c2), conductor_bound) == e1.pairwise_sums(e2)
-    dual_ok = exponents(dual(c1), conductor_bound) == e1.negated()
+    d_mon = hom_dim(mon(c1), mon(c2))
+    e1 = exponents(c1)
+    e2 = exponents(c2)
+    tensor_ok = exponents(tensor(c1, c2)) == e1.pairwise_sums(e2)
+    dual_ok = exponents(dual(c1)) == e1.negated()
     return {
         "hom_dim": d_hom,
         "mon_hom_dim": d_mon,

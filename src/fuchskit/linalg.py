@@ -6,8 +6,9 @@ inverse, Jordan form) additionally need .inverse() on entries, which
 Cyclotomic provides.
 
 The eigenvalue finder is deliberately restricted to Q union the roots of
-unity up to a conductor bound: that is exactly the eigenvalue set reachable
-through gamma on rational exponent classes, and anything else is an honest
+unity: that is exactly the eigenvalue set reachable through gamma on
+rational exponent classes.  The degree of the polynomial bounds the orders
+that can occur, so the search is a decision, and anything else is an honest
 EigenvalueNotFound instead of an approximation.
 """
 
@@ -26,8 +27,6 @@ from .scalar import (
     divisors,
     euler_phi,
 )
-
-DEFAULT_CONDUCTOR_BOUND = 120
 
 
 class Matrix:
@@ -341,8 +340,9 @@ def _rational_roots_of(q):
         ints.pop(0)
     lead = abs(ints[-1])
     cap = lead + max(abs(c) for c in ints)
+    numerators = divisors(abs(ints[0]))
     for t in divisors(lead):
-        for s in divisors(abs(ints[0])):
+        for s in numerators:
             if gcd(s, t) > 1 or s * lead > cap * t:
                 continue
             for r in (s, -s):
@@ -413,37 +413,46 @@ def _unit_root_filter(p, n, d, exps):
     return [j for j in exps if poly_eval(image, pow(w, big // d * j, ell)) % ell == 0]
 
 
-def _root_candidates(p, conductor_bound):
-    """Possible roots of p in Q union mu_infinity, in sort_key order: the
-    rational roots, then zeta_d^j by order d and exponent j.
+def _root_orders(n, k):
+    """The orders d >= 3 of the roots of unity that a polynomial of degree k
+    over Q(zeta_n) can have, ascending (a generator).
 
-    zeta_d can be a root only when [Q(zeta_N, zeta_d) : Q(zeta_N)] =
-    phi(lcm(N, d)) / phi(N) is at most deg p; as phi(d) >= sqrt(d / 2), no d
-    above 2 (phi(N) deg p)^2 passes, whatever the conductor bound.
+    zeta_d can be a root only when [Q(zeta_n, zeta_d) : Q(zeta_n)] =
+    phi(lcm(n, d)) / phi(n) is at most k.  Write d = g e with g = gcd(n, d):
+    then lcm(n, d) = n e and phi(n e) >= phi(n) phi(e), so phi(e) <= k, and
+    as phi(e) >= sqrt(e / 2), e <= 2 k^2.  So finitely many orders qualify.
     """
-    g = _rational_part(p)
-    for r in _rational_roots_of(g):
+    width = euler_phi(n) * k
+    for d in sorted({g * e for g in divisors(n) for e in range(1, 2 * k * k + 1)}):
+        if d >= 3 and euler_phi(lcm(n, d)) <= width:
+            yield d
+
+
+def _root_candidates(p):
+    """Possible roots of p in Q union mu_infinity, in sort_key order: the
+    rational roots, then zeta_d^j by order d (see _root_orders) and
+    exponent j."""
+    rational = _rational_part(p)
+    for r in _rational_roots_of(rational):
         yield Cyclotomic.from_rat(r)
     n = lcm(*(c.n for c in p))
-    width = euler_phi(n) * (len(p) - 1)
-    for d in range(3, min(conductor_bound, 2 * width**2) + 1):
-        if euler_phi(lcm(n, d)) > width:
-            continue
+    for d in _root_orders(n, len(p) - 1):
         exps = [j for j in range(1, d) if gcd(j, d) == 1]
         if gcd(n, d) > 1:
             exps = _unit_root_filter(p, n, d, exps)
-        elif any(_divmod_monic(g, cyclotomic_polynomial(d))[1]):
+        elif any(_divmod_monic(rational, cyclotomic_polynomial(d))[1]):
             continue
         for j in exps:
             yield Cyclotomic.root_of_unity(d, j)
 
 
-def poly_roots(p, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
+def poly_roots(p):
     """All roots of p (Cyclotomic coefficients, nonzero) that lie in
     Q union mu_infinity, with multiplicities, in sort_key order.
 
     Raises EigenvalueNotFound when the roots do not account for the full
-    degree: some factor has roots outside the computable field.
+    degree: the search is exhaustive, so that certifies a factor with no root
+    in Q or in the roots of unity.
     """
     while p and p[-1].is_zero:
         p = p[:-1]
@@ -451,14 +460,13 @@ def poly_roots(p, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
         return []
     remaining = list(p)
     roots = []
-    candidates = _root_candidates(p, conductor_bound)
+    candidates = _root_candidates(p)
     while len(remaining) > 1:
         lam = next(candidates, None)
         if lam is None:
             raise EigenvalueNotFound(
                 "characteristic polynomial has a factor of degree "
-                f"{len(remaining) - 1} with no root in Q or in roots of unity "
-                f"of conductor <= {conductor_bound}"
+                f"{len(remaining) - 1} with no root in Q or in the roots of unity"
             )
         mult = 0
         while len(remaining) > 1 and poly_eval(remaining, lam).is_zero:
@@ -469,15 +477,15 @@ def poly_roots(p, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     return roots
 
 
-def eigenvalues(m, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
+def eigenvalues(m):
     """Eigenvalues with algebraic multiplicity, canonically ordered."""
-    return poly_roots(charpoly(m), conductor_bound)
+    return poly_roots(charpoly(m))
 
 
 def integer_eigenvalues(m):
-    """Integer eigenvalues with geometric multiplicity (no search bound
-    needed: candidates come from the rational root theorem, verified by an
-    exact kernel computation)."""
+    """Integer eigenvalues with geometric multiplicity: the candidates come
+    from the rational root theorem, and each multiplicity is an exact kernel
+    dimension."""
     n = m.rows
     ident = Matrix.identity(n)
     return [
@@ -512,7 +520,7 @@ def jordan_block(lam, n):
     )
 
 
-def jordan_form(m, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
+def jordan_form(m):
     """Exact Jordan normal form with transformation matrix.
 
     Blocks are sorted by (canonical eigenvalue order, size descending).  For
@@ -528,7 +536,7 @@ def jordan_form(m, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
     ident = Matrix.identity(m.rows)
     blocks = []
     basis_columns = []
-    for lam, mult in eigenvalues(m, conductor_bound):
+    for lam, mult in eigenvalues(m):
         e1 = m - ident.scale(lam)
         power, kernels = e1, [[], e1.nullspace()]
         while len(kernels[-1]) < mult:

@@ -9,7 +9,7 @@ d_sigma system for the remaining log-polynomial coefficients.
 
 from .errors import DimensionMismatch, ZeroEigenvalue
 from .expring import ExpRingElem, solve_dsigma
-from .linalg import DEFAULT_CONDUCTOR_BOUND, Matrix, det_cofactor, jordan_form
+from .linalg import Matrix, det_cofactor, jordan_form
 from .scalar import as_cyclotomic, gamma_inverse
 from .diffmod import _sylvester_operator
 
@@ -73,11 +73,11 @@ def hom_dim(v, w):
     return dim - syl.rank()
 
 
-def isomorphism(v, w, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
+def isomorphism(v, w):
     """An explicit T with T S_V T^-1 = S_W, or None when the Jordan block
     multisets differ."""
-    jv = jordan_form(v.monodromy, conductor_bound)
-    jw = jordan_form(w.monodromy, conductor_bound)
+    jv = jordan_form(v.monodromy)
+    jw = jordan_form(w.monodromy)
     if jv.blocks != jw.blocks:
         return None
     return jw.transform * jv.transform.inverse()
@@ -98,19 +98,19 @@ def _triv_poly(j):
     return _TRIV_POLYS[j]
 
 
-def trivialize(v, conductor_bound=DEFAULT_CONDUCTOR_BOUND):
+def trivialize(v):
     """An invertible matrix B over E_A whose columns are fixed by the twisted
     action: S * sigma(B) = B.
 
-    Per Jordan block J(lam, n): a = gamma_inverse(1/lam), then
+    Per Jordan block J(lam, n): a = -gamma_inverse(lam), so gamma(a) = 1/lam, then
     B_block = t^a * diag(1, lam, ..., lam^(n-1)) * X(ell) with X unipotent
     upper triangular, X[i][k] = p_{k-i}.  Raises NotRootOfUnity when an
     eigenvalue is not a root of unity.
     """
-    jd = jordan_form(v.monodromy, conductor_bound)
+    jd = jordan_form(v.monodromy)
     blocks = []
     for lam, size in jd.blocks:
-        a = gamma_inverse(lam.inverse())
+        a = -gamma_inverse(lam)
         t_a = ExpRingElem.t_power(a.value)
         z = ExpRingElem.zero()
         entries = [[z] * size for _ in range(size)]

@@ -224,25 +224,25 @@ def sheared_fifth_json():
 
 
 class TestConductorBound:
-    @pytest.mark.parametrize("command", ["mon", "exponents", "constant-form", "fuchs", "hom", "ext"])
-    def test_bound_reaches_the_search(self, capsys, command):
-        m = sheared_fifth_json()
-        doc = m if command not in ("hom", "ext") else f'{{"left": {m}, "right": {m}}}'
-        argv = (command, "--json", doc, "--exponent-candidates", "1/5")
-        code, _ = run_cli(capsys, *argv)
-        assert code == 0
-        code, out = run_cli(capsys, *argv, "--conductor-bound", "3")
-        assert code == 1
-        assert json.loads(out)["error"]["type"] == "EigenvalueNotFound"
+    """The eigenvalue search is a decision, so no command takes a bound on
+    the orders of the roots of unity it tries."""
+
+    @pytest.mark.parametrize("command", ["exponents", "mon", "rm", "constant-form", "fuchs",
+                                         "solve", "hom", "ext", "trivialize"])
+    def test_flag_is_refused(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--conductor-bound", "3", "--json", "{}"])
+        assert exc.value.code == 2
 
     def test_environment_default(self):
+        # the variable that once set the bound's default changes nothing
         src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fuchskit"].__file__)))
         env = dict(os.environ, FUCHS_KIT_CONDUCTOR_BOUND="3", PYTHONPATH=src)
         argv = ["mon", "--json", sheared_fifth_json(), "--exponent-candidates", "1/5"]
         proc = subprocess.run([sys.executable, "-m", "fuchskit.cli", *argv],
                               env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout)["error"]["type"] == "EigenvalueNotFound"
+        assert proc.returncode == 0, proc.stdout
+        assert json.loads(proc.stdout)["monodromy"][0][0]["conductor"] == 5
 
     def test_verify_takes_no_bound(self, capsys):
         with pytest.raises(SystemExit) as exc:

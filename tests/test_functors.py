@@ -12,7 +12,7 @@ from fuchskit.diffmod import (
     rank_one,
     tensor,
 )
-from fuchskit.errors import EigenvalueNotFound, MissingCandidates, NotFoundWithinBounds
+from fuchskit.errors import MissingCandidates, NotFoundWithinBounds
 from fuchskit.functors import (
     ExponentMultiset,
     default_exponent_candidates,
@@ -259,8 +259,8 @@ class TestMonHomCompare:
 
 
 class TestConductorBound:
-    """The conductor bound also bounds the eigenvalue search of the section
-    monodromy inside the constant-form search."""
+    """The eigenvalue search of the section monodromy inside the
+    constant-form search reaches an order that G does not show."""
 
     @staticmethod
     def sheared_fifth():
@@ -273,15 +273,65 @@ class TestConductorBound:
         v = mon(self.sheared_fifth(), exponent_candidates=[ExponentClass(Rat(1, 5))])
         assert v.monodromy.data[0][0].n == 5
 
-    @pytest.mark.parametrize("functor", [mon, exponents, fuchs_decomposition])
-    def test_bound_reaches_the_search(self, functor):
-        with pytest.raises(EigenvalueNotFound):
-            functor(self.sheared_fifth(), conductor_bound=3, exponent_candidates=[ExponentClass(Rat(1, 5))])
 
-    def test_bound_reaches_mon_hom_compare(self):
-        m = self.sheared_fifth()
-        with pytest.raises(EigenvalueNotFound):
-            mon_hom_compare(m, m, conductor_bound=3, exponent_candidates=[ExponentClass(Rat(1, 5))])
+_DECISION_CHILD = """
+import resource, sys, time
+try:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+except (ValueError, OSError):
+    pass
+from fuchskit import rm
+from fuchskit.errors import EigenvalueNotFound
+from fuchskit.scalar import Cyclotomic
+from fuchskit.sigmamod import rank_one
+scale = int(sys.argv[1])
+start = time.perf_counter()
+try:
+    m = rm(rank_one(Cyclotomic.root_of_unity(100003) * scale))
+    outcome = "found " + repr(m.matrix.data[0][0].terms[0])
+except EigenvalueNotFound:
+    outcome = "EigenvalueNotFound"
+elapsed = time.perf_counter() - start
+try:
+    # the peak of this address space; ru_maxrss survives exec
+    with open("/proc/self/status") as fh:
+        kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+print(elapsed, kb / 1024)
+print(outcome)
+"""
+
+
+class TestEigenvalueDecision:
+    """Every root of unity is reached, and a factor with no root in Q or in
+    the roots of unity is refused, both fast."""
+
+    @pytest.mark.parametrize("q", [127, 211, 1009, 4006])
+    def test_mon_rm_round_trip_beyond_order_120(self, q):
+        v = v_rank_one(Cyclotomic.root_of_unity(q))
+        m = rm(v)
+        assert exponents(m) == multiset(Rat(q - 1, q))
+        assert mon(m) == v
+
+    @pytest.mark.parametrize("scale, outcome", [(1, "found 100002/100003"), (2, "EigenvalueNotFound")])
+    def test_rank_one_at_100003_is_decided_small(self, scale, outcome):
+        # in a child process under an address-space limit, timed and measured
+        pytest.importorskip("resource")
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", _DECISION_CHILD, str(scale)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        measured, got = done.stdout.splitlines()
+        elapsed, rss_mb = map(float, measured.split())
+        assert got == outcome
+        assert elapsed < 5, elapsed
+        assert rss_mb < 50, rss_mb
 
 
 class TestExtensionSplitting:

@@ -32,6 +32,7 @@ from fuchskit.linalg import (
     jordan_block,
     jordan_form,
     poly_roots,
+    _root_orders,
 )
 from fuchskit.ratio import Rat
 from fuchskit.scalar import Cyclotomic, cyclotomic_polynomial
@@ -234,13 +235,36 @@ class TestPolyRoots:
             poly_roots([C(-2), C(0), C(1)])
 
     def test_search_bounded_by_degree_not_conductor_bound(self):
-        # eigenvalues +-sqrt(2): no order above 2 (phi(1) * 2)^2 can give a
-        # root, so a huge conductor bound costs nothing
+        # eigenvalues +-sqrt(2): the degree leaves only the orders 3, 4 and 6
+        # to try, so the refusal is a quick decision
         m = Matrix([[C(0), C(2)], [C(1), C(0)]])
         start = time.perf_counter()
-        with pytest.raises(EigenvalueNotFound):
-            eigenvalues(m, 10**12)
+        with pytest.raises(EigenvalueNotFound, match="no root in Q or in the roots of unity$"):
+            eigenvalues(m)
         assert time.perf_counter() - start < 1
+
+
+def _totients(limit):
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+class TestRootOrders:
+    def test_derived_orders_match_the_range_scan(self):
+        # the range scan: every d in [3, 2 (phi(n) k)^2] with
+        # phi(lcm(n, d)) <= phi(n) k, where phi(lcm) phi(gcd) = phi(n) phi(d)
+        top_n, top_k = 60, 4
+        phi = _totients(2 * (top_n * top_k) ** 2)
+        for n in range(1, top_n + 1):
+            for k in range(1, top_k + 1):
+                width = phi[n] * k
+                scan = [d for d in range(3, 2 * width**2 + 1)
+                        if phi[n] * phi[d] <= width * phi[gcd(n, d)]]
+                assert list(_root_orders(n, k)) == scan, (n, k)
 
 
 class TestJordan:
