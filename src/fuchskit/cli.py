@@ -9,6 +9,7 @@ error (machine-readable error object), 2 malformed input.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import jsonio
 from .errors import FuchsKitError, InputError
@@ -89,7 +90,10 @@ def _read_input(args):
     if getattr(args, "inline", None) is not None:
         text = args.inline
     elif getattr(args, "input", None) is not None:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        try:
+            text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read --input: {exc}") from None
     else:
         raise InputError("missing input: use --input <path> or --json <text>")
     try:

@@ -22,12 +22,11 @@ from .errors import (
 from .laurent import LaurentPoly
 from .linalg import (
     Matrix,
-    charpoly,
     det_and_adjugate,
     det_cofactor,  # re-exported: part of this module's public names
+    eigenvalues,
     integer_eigenvalues,
     jordan_form,
-    poly_roots,
 )
 from .ratio import Rat
 from .scalar import Cyclotomic, ExponentClass, as_cyclotomic
@@ -371,8 +370,8 @@ def horizontal_hom(m1, m2):
     """
     m1._same_derivation(m2)
     c1, c2 = m1.constant_matrix(), m2.constant_matrix()
-    eig1 = poly_roots(charpoly(c1))
-    eig2 = poly_roots(charpoly(c2))
+    eig1 = eigenvalues(c1)
+    eig2 = eigenvalues(c2)
     modes = set()
     for a, _ in eig1:
         for b, _ in eig2:

@@ -21,7 +21,6 @@ from .diffmod import (
     tensor,
 )
 from .errors import (
-    EigenvalueNotFound,
     MissingCandidates,
     NotFoundWithinBounds,
     NotRegularWithinBounds,
@@ -32,9 +31,9 @@ from .linalg import (
     Matrix,
     charpoly,
     det_cofactor,
+    eigenvalues,
     jordan_block,
     jordan_form,
-    poly_roots,
     rational_roots,
 )
 from .ratio import Rat
@@ -345,12 +344,13 @@ def _constant_form_or_not_regular(module, **opts):
 def mon(module, **opts):
     """The monodromy representation: J(a, n) blocks become J(gamma(-a), n)."""
     cf = _constant_form_or_not_regular(module, **opts)
-    jd = jordan_form(cf.constant)
-    blocks = []
-    for a, size in jd.blocks:
-        cls = ExponentClass.from_scalar(a)
-        blocks.append(jordan_block(gamma(-cls), size))
-    return SigmaModule(Matrix.block_diag(blocks))
+    return _mon_of_blocks(jordan_form(cf.constant).blocks)
+
+
+def _mon_of_blocks(blocks):
+    """mon of a constant module from the Jordan blocks (a, n) of its matrix."""
+    return SigmaModule(Matrix.block_diag(
+        [jordan_block(gamma(-ExponentClass.from_scalar(a)), size) for a, size in blocks]))
 
 
 def rm(v):
@@ -366,14 +366,14 @@ def rm(v):
 def exponents(module, **opts):
     """Eigenvalues of a constant form, reduced mod Z, with multiplicity."""
     cf = _constant_form_or_not_regular(module, **opts)
-    roots = poly_roots(charpoly(cf.constant))
-    classes = []
-    for lam, mult in roots:
-        cls = ExponentClass.from_scalar(lam)
-        classes.extend([cls] * mult)
-    if len(classes) != module.dim:
-        raise EigenvalueNotFound("eigenvalues do not account for the dimension")
-    return ExponentMultiset.from_classes(classes)
+    return _exponent_multiset(eigenvalues(cf.constant))
+
+
+def _exponent_multiset(spectrum):
+    """The classes of (eigenvalue, count) pairs, such as eigenvalues or Jordan
+    blocks, each taken count times."""
+    return ExponentMultiset.from_classes(
+        [ExponentClass.from_scalar(lam) for lam, count in spectrum for _ in range(count)])
 
 
 @dataclass
@@ -454,9 +454,9 @@ def _hom_report(c1, c2, space):
     """mon_hom_compare's report for constant modules c1, c2 and the
     horizontal Hom space between them."""
     d_hom = space.dimension
-    d_mon = hom_dim(mon(c1), mon(c2))
-    e1 = exponents(c1)
-    e2 = exponents(c2)
+    blocks1, blocks2 = (jordan_form(c.constant_matrix()).blocks for c in (c1, c2))
+    d_mon = hom_dim(_mon_of_blocks(blocks1), _mon_of_blocks(blocks2))
+    e1, e2 = _exponent_multiset(blocks1), _exponent_multiset(blocks2)
     tensor_ok = exponents(tensor(c1, c2)) == e1.pairwise_sums(e2)
     dual_ok = exponents(dual(c1)) == e1.negated()
     return {

@@ -8,6 +8,7 @@ or Cyclotomic; encoders always emit the full canonical form.
 """
 
 import re
+from math import gcd
 
 from .diffmod import DiffModule
 from .errors import InputError
@@ -57,7 +58,14 @@ def encode_rat(x):
 
 
 def encode_cyclotomic(c):
-    return {"conductor": c.n, "coeffs": [rat_str(x) for x in c.c]}
+    """Each coordinate as the reduced "p/q" (or "p") of its integer numerator
+    over the common denominator, with one gcd."""
+    den = c._den
+    coeffs = []
+    for x in c._num:
+        g = gcd(x, den)
+        coeffs.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return {"conductor": c.n, "coeffs": coeffs}
 
 
 def decode_cyclotomic(doc, name="cyclotomic"):

@@ -477,8 +477,30 @@ def poly_roots(p):
     return roots
 
 
+def _as_found(x):
+    """x as poly_roots finds it: a rational at label 1, a root of unity as
+    root_of_unity(q, p) at its order q; None for any other value."""
+    if x.n == 1:
+        return x
+    ru = x.as_root_of_unity()
+    return None if ru is None else Cyclotomic.root_of_unity(*ru)
+
+
 def eigenvalues(m):
-    """Eigenvalues with algebraic multiplicity, canonically ordered."""
+    """Eigenvalues with algebraic multiplicity, in sort_key order, as
+    poly_roots(charpoly(m)) gives them.
+
+    When m is upper triangular and its diagonal lies in Q union mu_infinity,
+    the counted diagonal is read off in O(n^2) instead; any other m raises
+    EigenvalueNotFound from the general search when a root lies outside.
+    """
+    if m.is_square and all(x.is_zero for i, row in enumerate(m.data) for x in row[:i]):
+        counts = {}
+        for lam in (_as_found(row[i]) for i, row in enumerate(m.data)):
+            if lam is None:
+                return poly_roots(charpoly(m))
+            counts.setdefault(lam.sort_key(), [lam, 0])[1] += 1
+        return [(lam, count) for _, (lam, count) in sorted(counts.items())]
     return poly_roots(charpoly(m))
 
 
@@ -523,16 +545,48 @@ def jordan_block(lam, n):
 def jordan_form(m):
     """Exact Jordan normal form with transformation matrix.
 
-    Blocks are sorted by (canonical eigenvalue order, size descending).  For
-    each eigenvalue lam, with E = M - lam, every kernel ker E^k is computed
-    once, as a nullspace basis, until its dimension reaches the algebraic
-    multiplicity.  The chain tops of size s, from the largest size down, are
-    the vectors of the ker E^s basis, in basis order, that are independent of
-    ker E^(s-1) and of the chains already built: the pivot columns of one
-    rref.  A top v contributes the columns E^(s-1) v, ..., E v, v.
+    Blocks are sorted by (canonical eigenvalue order, size descending).  A
+    matrix already in Jordan shape (nonzero entries only on the diagonal and
+    the superdiagonal, each nonzero superdiagonal entry a 1 between equal
+    diagonal entries) whose diagonal lies in Q union mu_infinity is read off
+    in O(n^2): its blocks, stably sorted, and the 0/1 permutation matrix that
+    puts its columns in that order, which is what the general elimination
+    returns for it.  Any other matrix goes through _jordan_elimination.
     """
     if not m.is_square:
         raise NonSquare("Jordan form of a non-square matrix")
+    n, d = m.rows, m.data
+    if any(not x.is_zero for i, row in enumerate(d) for j, x in enumerate(row) if j != i and j != i + 1):
+        return _jordan_elimination(m)
+    runs, start = [], 0
+    for i in range(n):
+        if i + 1 < n and not d[i][i + 1].is_zero:
+            if d[i][i + 1] != 1 or d[i][i] != d[i + 1][i + 1]:
+                return _jordan_elimination(m)
+            continue
+        lam = _as_found(d[start][start])
+        if lam is None:
+            return _jordan_elimination(m)
+        runs.append((lam, i + 1 - start, start))
+        start = i + 1
+    runs.sort(key=lambda run: (run[0].sort_key(), -run[1]))
+    order = [first + k for _, size, first in runs for k in range(size)]
+    zero, one = Cyclotomic.zero(), Cyclotomic.one()
+    transform = Matrix([[one if order[j] == i else zero for j in range(n)] for i in range(n)])
+    return JordanData(blocks=[(lam, size) for lam, size, _ in runs], transform=transform)
+
+
+def _jordan_elimination(m):
+    """jordan_form of a square matrix by elimination.
+
+    For each eigenvalue lam, with E = M - lam, every kernel ker E^k is
+    computed once, as a nullspace basis, until its dimension reaches the
+    algebraic multiplicity.  The chain tops of size s, from the largest size
+    down, are the vectors of the ker E^s basis, in basis order, that are
+    independent of ker E^(s-1) and of the chains already built: the pivot
+    columns of one rref.  A top v contributes the columns E^(s-1) v, ...,
+    E v, v.
+    """
     ident = Matrix.identity(m.rows)
     blocks = []
     basis_columns = []

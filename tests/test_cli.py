@@ -144,6 +144,18 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"exponents": ["1/3"]}
 
+    def test_missing_input_file_is_invalid_input(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "exponents", "--input", str(tmp_path / "absent.json"))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidInput"
+
+    def test_non_utf8_input_file_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out = run_cli(capsys, "exponents", "--input", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidInput"
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):

@@ -258,6 +258,56 @@ class TestMonHomCompare:
             assert t * dleft.monodromy * t.inverse() == dright.monodromy
 
 
+class TestJordanEliminations:
+    """A matrix that mon or rm builds from known blocks is read, not
+    eliminated again."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        import fuchskit.linalg as linalg
+
+        calls = []
+        general = linalg._jordan_elimination
+        monkeypatch.setattr(linalg, "_jordan_elimination", lambda m: calls.append(m) or general(m))
+        return calls
+
+    def test_round_trip_of_a_constant_module(self, rng, eliminations):
+        for _ in range(4):
+            m = rand_constant_module(rng, Sizes(max_dim=4))
+            base = m.constant_matrix()
+            before = len(eliminations)
+            rm(mon(m))
+            assert len(eliminations) - before <= 1
+            shaped = jordan_form(base).jordan_matrix()
+            before = len(eliminations)
+            rm(mon(DiffModule.from_constant(shaped)))
+            assert len(eliminations) == before
+
+    def test_round_trip_of_a_sheared_module(self, eliminations):
+        m = DiffModule(laurent_matrix([[0, LaurentPoly.t_power(1)], [0, 0]]))
+        rm(mon(m))
+        assert len(eliminations) <= 1
+
+    def test_cli_hom_makes_at_most_six_root_searches(self, capsys, monkeypatch):
+        import json
+        import sys
+
+        import fuchskit.linalg as linalg
+        from fuchskit.cli import main
+
+        calls = []
+        search = linalg.poly_roots
+        for module in [m for name, m in sys.modules.items() if name.startswith("fuchskit")]:
+            if getattr(module, "poly_roots", None) is search:
+                monkeypatch.setattr(module, "poly_roots", lambda p: calls.append(p) or search(p))
+        # neither constant is triangular, so no spectrum is read off a diagonal
+        left = {"dim": 2, "matrix": [["1", "1/2"], ["1", "1/2"]]}
+        right = {"dim": 2, "matrix": [["0", "1"], ["1/4", "0"]]}
+        assert main(["hom", "--json", json.dumps({"left": left, "right": right})]) == 0
+        assert json.loads(capsys.readouterr().out)["mon_comparison"]["ok"]
+        assert len(calls) <= 6
+
+
 class TestConductorBound:
     """The eigenvalue search of the section monodromy inside the
     constant-form search reaches an order that G does not show."""

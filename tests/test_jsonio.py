@@ -10,7 +10,7 @@ from fuchskit.diffmod import DiffModule, laurent_matrix, rank_one, twist_derivat
 from fuchskit.errors import InputError
 from fuchskit.laurent import LaurentPoly
 from fuchskit.linalg import Matrix
-from fuchskit.ratio import Rat
+from fuchskit.ratio import Rat, rat_str
 from fuchskit.scalar import Cyclotomic
 from fuchskit.sigmamod import SigmaModule
 
@@ -20,6 +20,16 @@ class TestRoundTrips:
     @settings(max_examples=40, deadline=None)
     def test_cyclotomic(self, c):
         assert jsonio.decode_cyclotomic(jsonio.encode_cyclotomic(c)) == c
+
+    @given(cyclotomics())
+    @settings(max_examples=80, deadline=None)
+    def test_cyclotomic_coordinates_are_reduced_rationals(self, c):
+        assert jsonio.encode_cyclotomic(c) == {"conductor": c.n, "coeffs": [rat_str(x) for x in c.c]}
+
+    def test_cyclotomic_with_negative_numerators_over_a_denominator(self):
+        c = Cyclotomic(12, [Rat(-3, 4), Rat(1, 2), 0, Rat(-5, 6)])
+        assert jsonio.encode_cyclotomic(c) == {"conductor": 12, "coeffs": ["-3/4", "1/2", "0", "-5/6"]}
+        assert jsonio.encode_cyclotomic(Cyclotomic.from_rat(Rat(-6, 4))) == {"conductor": 1, "coeffs": ["-3/2"]}
 
     @given(laurents())
     @settings(max_examples=40, deadline=None)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import cyclotomics
 
-from fuchskit import jsonio
+from fuchskit import jsonio, linalg
 from fuchskit.errors import EigenvalueNotFound, NonSquare
 from fuchskit.generate import Sizes, rand_laurent, rand_shearing_gauge
 from fuchskit.laurent import LaurentPoly
@@ -32,6 +32,7 @@ from fuchskit.linalg import (
     jordan_block,
     jordan_form,
     poly_roots,
+    _jordan_elimination,
     _root_orders,
 )
 from fuchskit.ratio import Rat
@@ -404,6 +405,98 @@ class TestPinnedJordan:
             [_encoded(x) for x in row] for row in transform
         ]
         assert jd.transform.inverse() * m * jd.transform == jd.jordan_matrix()
+
+
+def _jordan_encoded(jd):
+    """Blocks and transform of Jordan data, every value with its label."""
+    enc = jsonio.encode_cyclotomic
+    return [(enc(lam), size) for lam, size in jd.blocks], jsonio.encode_matrix(jd.transform, enc)
+
+
+def _spectrum_encoded(spectrum):
+    return [(jsonio.encode_cyclotomic(lam), count) for lam, count in spectrum]
+
+
+_Z15_AT_30 = Cyclotomic.root_of_unity(15, 2).embed(30)
+
+# blocks (eigenvalue, size) of Jordan-shaped matrices, listed out of order
+JORDAN_SHAPED = {
+    "equal_sizes": [(C(2), 2), (C(2), 1), (C(2), 2), (C(2), 2)],
+    "several": [(_Z12 ** 5, 1), (C(-1), 2), (C(Rat(1, 2)), 1), (Cyclotomic.root_of_unity(3), 2), (C(-1), 3)],
+    "label_30": [(_Z15_AT_30, 2), (Cyclotomic.root_of_unity(15, 2), 1), (_Z15_AT_30, 1), (C(0), 1)],
+    "one_by_one_root": [(Cyclotomic.root_of_unity(5, 3), 1)],
+    "one_by_one_rational": [(C(Rat(-7, 3)), 1)],
+}
+
+
+def _random_jordan_blocks(rng):
+    def value():
+        if rng.random() < 0.4:
+            return C(Rat(rng.randint(-3, 3), rng.choice([1, 2])))
+        d = rng.choice([3, 4, 5, 6, 8, 12, 15])
+        lam = Cyclotomic.root_of_unity(d, rng.choice([j for j in range(1, d) if gcd(j, d) == 1]))
+        return lam.embed(2 * d) if rng.random() < 0.3 else lam
+
+    pool = [value() for _ in range(rng.randint(1, 3))]
+    return [(rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+
+
+class TestJordanShape:
+    """On a matrix already in Jordan shape, jordan_form reads the answer off
+    the matrix; it must equal the general elimination's, labels included."""
+
+    @pytest.fixture
+    def searched_spectrum(self, monkeypatch):
+        # the elimination then finds each eigenvalue by the polynomial search,
+        # not by the triangular shortcut
+        monkeypatch.setattr(linalg, "eigenvalues", lambda m: poly_roots(charpoly(m)))
+
+    @pytest.mark.parametrize("name", sorted(JORDAN_SHAPED))
+    def test_shortcut_is_taken_and_equals_elimination(self, name, monkeypatch, searched_spectrum):
+        m = Matrix.block_diag([jordan_block(lam, size) for lam, size in JORDAN_SHAPED[name]])
+        expected = _jordan_encoded(_jordan_elimination(m))
+
+        def refuse(m):
+            raise AssertionError("the shortcut was not taken")
+
+        monkeypatch.setattr(linalg, "_jordan_elimination", refuse)
+        assert _jordan_encoded(jordan_form(m)) == expected
+
+    def test_random_jordan_matrices(self, searched_spectrum):
+        rng = random.Random(20)
+        for _ in range(150):
+            m = Matrix.block_diag([jordan_block(lam, size) for lam, size in _random_jordan_blocks(rng)])
+            assert _jordan_encoded(jordan_form(m)) == _jordan_encoded(_jordan_elimination(m))
+
+    def test_label_30_eigenvalue_comes_back_at_its_order(self):
+        blocks = jordan_form(Matrix.block_diag([jordan_block(_Z15_AT_30, 2)])).blocks
+        assert [(lam.n, size) for lam, size in blocks] == [(15, 2)]
+
+    def test_one_between_unequal_eigenvalues_falls_back(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "_jordan_elimination", lambda m: calls.append(m) or _jordan_elimination(m))
+        m = Matrix([[C(1), C(1)], [C(0), C(2)]])
+        jd = jordan_form(m)
+        assert calls == [m]
+        assert jd.blocks == [(C(1), 1), (C(2), 1)]
+        assert jd.transform.inverse() * m * jd.transform == jd.jordan_matrix()
+
+    def test_eigenvalue_outside_q_and_mu_falls_back_and_raises(self):
+        two_zeta5 = Cyclotomic.root_of_unity(5) * 2
+        for m in (Matrix([[two_zeta5]]), Matrix.block_diag([jordan_block(C(1), 1), jordan_block(two_zeta5, 2)])):
+            with pytest.raises(EigenvalueNotFound):
+                jordan_form(m)
+            with pytest.raises(EigenvalueNotFound):
+                eigenvalues(m)
+
+    def test_triangular_eigenvalues_equal_the_search(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            diag = [lam for lam, size in _random_jordan_blocks(rng) for _ in range(size)]
+            n = len(diag)
+            m = Matrix([[diag[i] if i == j else C(rng.randint(-2, 2)) if i < j else C(0)
+                         for j in range(n)] for i in range(n)])
+            assert _spectrum_encoded(eigenvalues(m)) == _spectrum_encoded(poly_roots(charpoly(m)))
 
 
 class TestIntegerEigenvalues:
