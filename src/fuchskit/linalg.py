@@ -20,9 +20,8 @@ from .ratio import Rat, is_int
 from .scalar import (
     Cyclotomic,
     _divmod_monic,
-    _factorize,
-    _is_probable_prime,
     _poly_xgcd,
+    _prime_root,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -387,30 +386,26 @@ def _unit_root_filter(p, n, d, exps):
     """The exponents j of exps for which zeta_d^j can be a root of p, whose
     coefficients lie in Q(zeta_n).
 
-    Reduces modulo a prime l = 1 (mod L), L = lcm(n, d): sending zeta_L to an
-    element w of order L in F_l is a ring map from the elements whose
-    denominators l does not divide, so it sends a root to a root.  When l
-    divides a denominator of p, every exponent is kept.
+    Reduces modulo two distinct primes l = 1 (mod L), L = lcm(n, d): sending
+    zeta_L to an element w of order L in F_l is a ring map from the elements
+    whose denominators l does not divide, so it sends a root to a root, and
+    an exponent is kept only when zeta_d^j passes at both primes.  A prime
+    that divides a denominator of p keeps every exponent.
     """
-    big = lcm(n, d)
-    ell = big + 1
-    while not _is_probable_prime(ell):
-        ell += big
-    primes = _factorize(big)
-    w, h = 1, 1
-    while any(pow(w, big // r, ell) == 1 for r in primes):
-        h += 1
-        w = pow(h, (ell - 1) // big, ell)
-    image = []
-    for c in p:
-        if c._den % ell == 0:
-            return exps
-        step, acc = big // c.n, 0
-        for i, x in enumerate(c._num):
-            if x:
-                acc += x * pow(w, step * i, ell)
-        image.append(acc * pow(c._den, -1, ell) % ell)
-    return [j for j in exps if poly_eval(image, pow(w, big // d * j, ell)) % ell == 0]
+    big, ell = lcm(n, d), 0
+    for _ in range(2):
+        ell, w = _prime_root(big, ell)
+        if exps and all(c._den % ell for c in p):
+            image = [c._image(big, ell, w) for c in p]
+            v, powers = pow(w, big // d, ell), [1] * d
+            for i in range(1, d):
+                powers[i] = powers[i - 1] * v % ell
+            values = [0] * len(exps)
+            for i, c in enumerate(image):
+                if c:
+                    values = [y + c * powers[i * j % d] for y, j in zip(values, exps)]
+            exps = [j for j, y in zip(exps, values) if not y % ell]
+    return exps
 
 
 def _root_orders(n, k):
@@ -433,8 +428,7 @@ def _root_candidates(p):
     rational roots, then zeta_d^j by order d (see _root_orders) and
     exponent j."""
     rational = _rational_part(p)
-    for r in _rational_roots_of(rational):
-        yield Cyclotomic.from_rat(r)
+    yield from map(Cyclotomic.from_rat, _rational_roots_of(rational))
     n = lcm(*(c.n for c in p))
     for d in _root_orders(n, len(p) - 1):
         exps = [j for j in range(1, d) if gcd(j, d) == 1]

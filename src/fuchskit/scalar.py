@@ -14,10 +14,11 @@ Labels are not minimal: the label of a sum, difference or product is the
 lcm of the operands' labels, demoted only to 1 for a rational value.  This
 rule fixes every encoded output, so it is part of the behaviour.
 
-z^e is a unit vector for e < phi(N).  The rows z^e mod Phi_N for
-phi(N) <= e < N are built once per N by shift-and-reduce and indexed by
-their coordinates (a single row for a prime N), so root_of_unity, embed and
-as_root_of_unity are lookups.
+z^e is a unit vector for e < phi(N), and z^(N/2) = -1 folds e for even N;
+any other power, and any embedding, is one polynomial reduced modulo Phi_N.
+as_root_of_unity finds its exponent from the element's image in F_l,
+l = 1 (mod N), and confirms that one candidate exactly.  Per conductor only
+phi(N), Phi_N and the pairs (l, w) are cached.
 
 gamma is the concrete exponential isomorphism on torsion exponents:
 gamma(p/q) = zeta_q^p, a group homomorphism Q/Z -> roots of unity, with
@@ -25,7 +26,7 @@ gamma_inverse reading p/q off the coordinates: the roots of unity in
 Q(zeta_N) are the +-zeta_N^j.
 """
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, attrgetter, sub
 
 from .errors import DivisionByZero, NonRationalExponent, NotRootOfUnity
@@ -36,7 +37,7 @@ from .ratio import Rat, rat_floor, rat_from_str, rat_str
 
 _PHI_CACHE = {}
 _CYCLO_CACHE = {}
-_ROW_CACHE = {}
+_ROOT_CACHE = {}
 
 
 def _is_probable_prime(n):
@@ -85,28 +86,20 @@ def _pollard_rho(n):
 def _factorize(n):
     """Prime factorization of n >= 1 as a dict; small trial division then
     Pollard rho."""
-    factors = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 17
+    factors, d = {}, 2
     while d * d <= n and d < 100000:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
-        d += 2
+        d += 1 if d == 2 else 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        stack += [d, m // d]
     return factors
 
 
@@ -132,6 +125,8 @@ def _divmod_monic(num, den):
     (ascending coefficients; num over ints or rationals).  The remainder has
     at most deg den coefficients."""
     k = len(den) - 1
+    if len(num) <= k:
+        return [], list(num)
     terms = [(j, d) for j, d in enumerate(den[:k]) if d]
     r = list(num)
     q = [0] * max(len(r) - k, 0)
@@ -145,17 +140,42 @@ def _divmod_monic(num, den):
 
 
 def cyclotomic_polynomial(n):
-    """Coefficients (ascending) of the n-th cyclotomic polynomial, as ints."""
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n)[:-1]:
-        poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
-        if any(rem):
-            raise AssertionError("Phi_d does not divide x^n - 1; this is a bug")
-    poly = tuple(poly)
-    _CYCLO_CACHE[n] = poly
-    return poly
+    """Coefficients (ascending) of the n-th cyclotomic polynomial, as ints.
+
+    Phi_n(x) = Phi_r(x^(n/r)) for r the product of the primes of n, and for
+    r > 1, Phi_r = prod_{d | r} (1 - x^d)^mu(r/d) as a power series cut at
+    degree phi(r), one pass per divisor (Arnold and Monagan 2011).
+    """
+    if n not in _CYCLO_CACHE:
+        primes = list(_factorize(n))
+        r = prod(primes)
+        poly = [-1, 1] if r == 1 else [1] + [0] * euler_phi(r)
+        top = len(poly) - 1
+        for d in divisors(r)[:-1]:
+            if sum(d % p != 0 for p in primes) % 2:  # divide by 1 - x^d
+                for i in range(d, top + 1):
+                    poly[i] += poly[i - d]
+            else:
+                for i in range(top, d - 1, -1):
+                    poly[i] -= poly[i - d]
+        full = [0] * (n // r * top + 1)
+        full[:: n // r] = poly
+        _CYCLO_CACHE[n] = tuple(full)
+    return _CYCLO_CACHE[n]
+
+
+def _prime_root(n, after=0):
+    """The least prime l > after with l = 1 (mod n), and an element w of
+    order n in F_l."""
+    if (n, after) not in _ROOT_CACHE:
+        ell, primes = after + 1 + -after % n, _factorize(n)
+        while not _is_probable_prime(ell):
+            ell += n
+        h = 1  # w = h^((l - 1)/n) has order n when no w^(n/r) is 1
+        while any(pow(h, (ell - 1) // r, ell) == 1 for r in primes):
+            h += 1
+        _ROOT_CACHE[n, after] = ell, pow(h, (ell - 1) // n, ell)
+    return _ROOT_CACHE[n, after]
 
 
 def _poly_xgcd(a, b):
@@ -192,30 +212,6 @@ def _poly_xgcd(a, b):
     if not r0:
         raise DivisionByZero("gcd of zero polynomials")
     return r0, s0
-
-
-def _root_rows(n):
-    """The reduced rows z^e mod Phi_n for phi(n) <= e < n, as a list indexed by
-    e - phi(n), and a dict from each row back to its e.
-
-    Built once per n by shift-and-reduce: (n - phi(n)) rows of phi(n)
-    integers, a single row for a prime n.  z^e for e < phi(n) is a unit
-    vector and is never stored.
-    """
-    if n not in _ROW_CACHE:
-        phi = euler_phi(n)
-        low = cyclotomic_polynomial(n)[:phi]
-        terms = [(j, d) for j, d in enumerate(low) if d]
-        rows, row = [], [-d for d in low]  # z^phi = -(Phi_n - z^phi)
-        for _ in range(phi, n):
-            rows.append(tuple(row))
-            top = row.pop()
-            row.insert(0, 0)
-            if top:
-                for j, d in terms:
-                    row[j] -= top * d
-        _ROW_CACHE[n] = (rows, {r: e for e, r in enumerate(rows, phi)})
-    return _ROW_CACHE[n]
 
 
 def _normal(n, num, den):
@@ -292,16 +288,18 @@ class Cyclotomic:
 
     @classmethod
     def root_of_unity(cls, q, p=1):
-        """zeta_q^p."""
+        """zeta_q^p: for e = p mod q, folded by z^(q/2) = -1 for even q, a unit
+        vector when e < phi(q), else z^(e - phi(q)) times
+        z^phi(q) = -(Phi_q(z) - z^phi(q)), reduced once."""
         if q < 1:
             raise ValueError("order must be positive")
-        e, phi = p % q, euler_phi(q)
+        e, sign, phi, cyclo = p % q, 1, euler_phi(q), cyclotomic_polynomial(q)
+        if q % 2 == 0 and e >= q // 2:
+            e, sign = e - q // 2, -1
         if e < phi:
-            num = [0] * phi
-            num[e] = 1
-        else:
-            num = _root_rows(q)[0][e - phi]
-        return _normal(q, num, 1)
+            return _normal(q, [0] * e + [sign] + [0] * (phi - e - 1), 1)
+        low = [-sign * c for c in cyclo[:phi]]
+        return _normal(q, _divmod_monic([0] * (e - phi) + low, cyclo)[1], 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -322,28 +320,28 @@ class Cyclotomic:
 
     def _embed_num(self, m):
         """Integer numerators in Q(zeta_m), over the same denominator, length
-        phi(m); requires n | m.  A rational builds no rows."""
+        phi(m); requires n | m.  z_n = z_m^(m/n) is substituted into one
+        polynomial, reduced once modulo Phi_m; a rational needs no reduction."""
         n = self._n
         if n == m:
             return self._num
         if m % n:
             raise ValueError("can only embed into a multiple conductor")
-        phi = euler_phi(m)
-        acc = [0] * phi
         if n == 1:
-            acc[0] = self._num[0]
-            return acc
+            return [self._num[0]] + [0] * (euler_phi(m) - 1)
         step = m // n
-        for i, x in enumerate(self._num):
-            if x:
-                e = step * i
-                if e < phi:
-                    acc[e] += x
-                else:
-                    for j, r in enumerate(_root_rows(m)[0][e - phi]):
-                        if r:
-                            acc[j] += x * r
-        return acc
+        poly = [0] * (step * (len(self._num) - 1) + 1)
+        poly[::step] = self._num
+        num = _divmod_monic(poly, cyclotomic_polynomial(m))[1]
+        return num + [0] * (euler_phi(m) - len(num))
+
+    def _image(self, m, ell, w):
+        """The image in F_ell under zeta_m -> w, for w of order m, n | m and
+        ell prime to the denominator."""
+        v, acc = pow(w, m // self._n, ell), 0
+        for x in reversed(self._num):
+            acc = (acc * v + x) % ell
+        return acc * pow(self._den, -1, ell) % ell
 
     def embed(self, m):
         """Image in Q(zeta_m) (the value is unchanged)."""
@@ -464,10 +462,12 @@ class Cyclotomic:
     def as_root_of_unity(self):
         """Minimal (q, p) with self = zeta_q^p and gcd(p, q) = 1, or None.
 
-        The roots of unity in Q(zeta_n) are the +-zeta_n^j, 0 <= j < n: a
-        single +-1 coordinate for j < phi(n), else a reduced row or its
-        negation.  +-zeta_n^j = zeta_2n^k with k = 2j, or 2j + n for the
-        negated one.
+        The roots of unity in Q(zeta_n) are the +-zeta_n^j, 0 <= j < n.  A
+        single +-1 coordinate is one; otherwise z goes to w of order n in
+        F_l, l = 1 (mod n), whose powers w^j, j < n, are distinct, so the
+        first j with +-w^j equal to the image is the one candidate, and
+        +-z^j is confirmed exactly at this label.
+        +-zeta_n^j = zeta_2n^k with k = 2j, or 2j + n for the negated one.
         """
         if self._den != 1:
             return None
@@ -476,12 +476,18 @@ class Cyclotomic:
         if len(nonzero) == 1 and num[nonzero[0]] in (1, -1):
             j, negated = nonzero[0], num[nonzero[0]] < 0
         else:
-            index = _root_rows(n)[1]
-            j, negated = index.get(num), False
-            if j is None:
-                j, negated = index.get(tuple(-x for x in num)), True
-                if j is None:
-                    return None
+            ell, w = _prime_root(n)
+            y = self._image(n, ell, w)
+            minus_y, power = ell - y, 1
+            for j in range(n):
+                if power == y or power == minus_y:
+                    break
+                power = power * w % ell
+            else:
+                return None
+            negated = power != y
+            if Cyclotomic.root_of_unity(n, j) != (-self if negated else self):
+                return None
         k = (2 * j + n) % (2 * n) if negated else 2 * j
         g = gcd(k, 2 * n)
         return (2 * n // g, k // g)

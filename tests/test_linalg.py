@@ -33,6 +33,7 @@ from fuchskit.linalg import (
     jordan_form,
     poly_roots,
     _jordan_elimination,
+    _root_candidates,
     _root_orders,
 )
 from fuchskit.ratio import Rat
@@ -206,11 +207,25 @@ class TestPolyRoots:
         _assert_canonical(roots)
 
     def test_prime_filter_skipped_on_its_denominator(self):
-        # (x - 1/17)(x^2 - i): the filter for order 8 works modulo 17
+        # (x - 1/17)(x^2 - i): the filter for order 8 works modulo 17 and 41
         i = Cyclotomic.root_of_unity(4)
         roots = poly_roots(_poly_mul([C(Rat(-1, 17)), C(1)], [-i, C(0), C(1)]))
         assert roots == [(C(Rat(1, 17)), 1), (Cyclotomic.root_of_unity(8, 1), 1), (Cyclotomic.root_of_unity(8, 5), 1)]
         _assert_canonical(roots)
+
+    def test_prime_filter_skipped_at_both_primes(self):
+        # (x - 1/697)(x^2 - i), 697 = 17 * 41: neither prime filters order 8
+        i = Cyclotomic.root_of_unity(4)
+        roots = poly_roots(_poly_mul([C(Rat(-1, 697)), C(1)], [-i, C(0), C(1)]))
+        assert roots == [(C(Rat(1, 697)), 1), (Cyclotomic.root_of_unity(8, 1), 1), (Cyclotomic.root_of_unity(8, 5), 1)]
+        _assert_canonical(roots)
+
+    @pytest.mark.parametrize("n, k", [(2520, 8), (420, 12)])
+    def test_two_primes_leave_no_spurious_candidate(self, n, k):
+        # x^k - 2 zeta_n has no root in Q or in the roots of unity; testing
+        # every exponent at two distinct primes leaves nothing to build
+        p = [Cyclotomic.root_of_unity(n) * -2] + [C(0)] * (k - 1) + [C(1)]
+        assert list(_root_candidates(p)) == []
 
     def test_repeated_root(self):
         z7 = Cyclotomic.root_of_unity(7)

@@ -5,6 +5,7 @@ complex embedding for ring identities, brute-force multiplicative order for
 gamma_inverse.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -261,29 +262,25 @@ class TestRootsOfUnityRoundTrip:
             root = Cyclotomic.root_of_unity(q, p)
             assert root.as_root_of_unity() == _expected_root(q, p, False), (q, p)
             assert (-root).as_root_of_unity() == _expected_root(q, p, True), (q, p)
-        # the only stored row of a prime order is z^(q-1) = -(1 + z + ... + z^(q-2))
-        rows, index = scalar._root_rows(q)
-        assert rows == [(-1,) * (q - 1)] and index == {(-1,) * (q - 1): q - 1}
+        # z^(q-1) = -(1 + z + ... + z^(q-2)) is the one power of a prime order
+        # that is not a unit vector
+        assert Cyclotomic.root_of_unity(q, q - 1)._num == (-1,) * (q - 1)
         assert (Cyclotomic.root_of_unity(q) * 2).as_root_of_unity() is None
         # 1 + z + ... + z^(q-2) = -z^(q-1) = zeta_2q^(q-2)
         assert Cyclotomic(q, [1] * (q - 1)).as_root_of_unity() == (2 * q, q - 2)
 
 
-_CLIFF_CHILD = """
+_CHILD = """
 import resource, sys, time
 try:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 except (ValueError, OSError):
     pass
-from fractions import Fraction
-from fuchskit import exponents, mon, rank_one
 from fuchskit.scalar import Cyclotomic
+{setup}
 start = time.perf_counter()
-module = rank_one(Fraction(1, 100003))
-sigma, exps = mon(module), exponents(module)
+{work}
 elapsed = time.perf_counter() - start
-assert sigma.monodromy.data[0][0] == Cyclotomic.root_of_unity(100003, -1)
-assert [repr(e) for e in exps.entries] == ["1/100003"]
 try:
     # the peak of this address space; ru_maxrss survives exec, so it would
     # carry the peak of the test process that started this one
@@ -294,21 +291,69 @@ except OSError:
 print(elapsed, kb / 1024)
 """
 
+_RANK_ONE_SETUP = """
+from fractions import Fraction
+from fuchskit import exponents, mon, rank_one
+n = int(sys.argv[1])
+"""
+
+_RANK_ONE_WORK = """
+module = rank_one(Fraction(1, n))
+sigma, exps = mon(module), exponents(module)
+assert sigma.monodromy.data[0][0] == Cyclotomic.root_of_unity(n, -1)
+assert [repr(e) for e in exps.entries] == [f"1/{n}"]
+"""
+
+_NO_ROOT_SETUP = """
+from fuchskit.errors import EigenvalueNotFound
+from fuchskit.linalg import poly_roots
+p = [Cyclotomic.root_of_unity(2520) * -2] + [Cyclotomic.zero()] * 7 + [Cyclotomic.one()]
+"""
+
+_NO_ROOT_WORK = """
+try:
+    poly_roots(p)
+except EigenvalueNotFound:
+    pass
+else:
+    raise AssertionError("x^8 - 2 zeta_2520 has no root in Q or in the roots of unity")
+"""
+
+
+def _run_child(setup, work, *args):
+    """Seconds and peak MB of work in a child process under an address-space
+    limit, after setup and the imports."""
+    pytest.importorskip("resource")
+    import os
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = _CHILD.format(setup=setup, work=work)
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return tuple(map(float, done.stdout.split()))
+
 
 class TestLargePrimeConductor:
-    def test_rank_one_mon_at_100003_stays_small(self):
-        # in a child process under an address-space limit: a table of every
-        # z^e at this conductor would take tens of gigabytes
-        pytest.importorskip("resource")
-        import os
+    # each in a child process: a dense table of the powers z^e would take
+    # tens of gigabytes at 100003 and 200006
 
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        done = subprocess.run([sys.executable, "-c", _CLIFF_CHILD], capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        elapsed, rss_mb = map(float, done.stdout.split())
+    def test_rank_one_mon_at_100003_stays_small(self):
+        elapsed, rss_mb = _run_child(_RANK_ONE_SETUP, _RANK_ONE_WORK, 100003)
         assert elapsed < 5, elapsed
         assert rss_mb < 50, rss_mb
+
+    @pytest.mark.parametrize("n", [4006, 200006])
+    def test_rank_one_mon_at_twice_a_prime_stays_small(self, n):
+        # N - phi(N) = N/2 + 1: every power z^e with e >= phi(N) is a row
+        elapsed, rss_mb = _run_child(_RANK_ONE_SETUP, _RANK_ONE_WORK, n)
+        assert elapsed < 2, elapsed
+        assert rss_mb < 100, rss_mb
+
+    def test_failing_eigenvalue_search_at_2520_stays_small(self):
+        elapsed, rss_mb = _run_child(_NO_ROOT_SETUP, _NO_ROOT_WORK)
+        assert elapsed < 2, elapsed
+        assert rss_mb < 100, rss_mb
 
 
 class TestExponentClass:
@@ -411,6 +456,28 @@ class TestAsRootOfUnity:
         assert (Cyclotomic.root_of_unity(7) * 2).as_root_of_unity() is None
 
 
+    @pytest.mark.parametrize("n", [1155, 2018, 2310, 2520])
+    def test_conductors_with_many_non_unit_powers(self, n):
+        # most powers z^e are reduced rows here, not unit vectors
+        rng = random.Random(n)
+        for p in [1, n // 2 - 1, n // 2 + 1, n - 1] + rng.sample(range(n), 12):
+            root = Cyclotomic.root_of_unity(n, p)
+            assert root.as_root_of_unity() == _expected_root(n, p, False), (n, p)
+            assert (-root).as_root_of_unity() == _expected_root(n, p, True), (n, p)
+            assert (root * 2).as_root_of_unity() is None, (n, p)
+            if n // gcd(n, p) != 3:  # zeta_3 + 1 = -zeta_3^2
+                assert (root + 1).as_root_of_unity() is None, (n, p)
+
+    @pytest.mark.parametrize("n", [1155, 2018, 2310, 2520])
+    def test_image_collision_is_rejected(self, n):
+        # z^j + l has the image of z^j in F_l, so only the exact
+        # confirmation tells them apart
+        ell = scalar._prime_root(n)[0]
+        for p in (1, n // 2 + 1, n - 1):
+            for root in (Cyclotomic.root_of_unity(n, p), -Cyclotomic.root_of_unity(n, p)):
+                assert (root + ell).n == n and (root + ell).as_root_of_unity() is None, (n, p)
+
+
 class TestNumberTheory:
     def test_divisors_and_phi_match_naive(self):
         bound = 3000
@@ -464,10 +531,31 @@ class TestNumberTheory:
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
         assert cyclotomic_polynomial(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
 
-    def test_rational_embedding_builds_no_power_table(self):
+    def test_cyclotomic_polynomials_multiply_to_x_n_minus_one(self):
+        for n in range(1, 401):
+            acc = [1]
+            for d in divisors(n):
+                acc = self._poly_mul(acc, cyclotomic_polynomial(d))
+            assert acc == [-1] + [0] * (n - 1) + [1], n
+
+    @pytest.mark.parametrize("n, digest", [
+        (4006, "20247c10764e4f83cc7c3eb07846c4e03bd72e184827af633a3dc304c8c5c881"),
+        (10010, "aa22d58c8c6be0b9077f964a65ca41bc2d9110af97e046ab41d172251b77a948"),
+        (17640, "979c6794fa1fd20418b3044040b6f760c95b1b4bbfcf7be6eda959dc985eb15a"),
+    ])
+    def test_large_cyclotomic_polynomials_are_pinned(self, n, digest):
+        # sha256 of the coefficient tuple's repr as computed by dividing
+        # x^n - 1 by Phi_d for every proper divisor d, which takes seconds
+        poly = cyclotomic_polynomial(n)
+        assert len(poly) == euler_phi(n) + 1 and poly[-1] == 1
+        assert hashlib.sha256(repr(poly).encode()).hexdigest() == digest
+
+    def test_rational_embedding_builds_no_power_table(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a rational embedding must not reduce modulo Phi_m")
+
+        monkeypatch.setattr(scalar, "_divmod_monic", refuse)
         m = 4093  # prime
-        scalar._ROW_CACHE.pop(m, None)
         x = Cyclotomic.from_rat(Rat(-3, 7))
         num = x._embed_num(m)
-        assert m not in scalar._ROW_CACHE
         assert len(num) == m - 1 and (num[0], x._den) == (-3, 7) and not any(num[1:])
