@@ -23,10 +23,10 @@ from .functors import (
     mon,
     rm,
 )
-from .diffmod import DiffModule, ext_dim, horizontal_hom
+from .diffmod import DiffModule, ext_dim
 from .generate import Sizes
 from .sigmamod import trivialize
-from .verify import run_suite
+from .verify import PROPERTIES, run_suite
 
 DATA_COMMANDS = (
     "exponents",
@@ -126,9 +126,12 @@ def _pair_input(doc):
 
 def _run_command(args):
     if args.command == "verify":
-        sizes = Sizes(max_dim=args.max_dim)
         only = None if args.suite == "all" else args.suite
-        return run_suite(seed=args.seed, cases=args.cases, sizes=sizes, only=only)
+        if only and not any(prop_id.startswith(only) for prop_id, _ in PROPERTIES):
+            raise InputError(f"--suite {only!r} matches no property id")
+        if args.cases < 1 or args.max_dim < 1:
+            raise InputError("--cases and --max-dim must be positive")
+        return run_suite(seed=args.seed, cases=args.cases, sizes=Sizes(max_dim=args.max_dim), only=only)
 
     doc = _read_input(args)
     if args.command == "exponents":
@@ -174,11 +177,11 @@ def _run_command(args):
         )
         if args.command == "ext":
             return {"dimension": ext_dim(c1, c2)}
-        space = horizontal_hom(c1, c2)
+        space, report = _hom_report(c1, c2)
         return {
             "dimension": space.dimension,
             "basis": [jsonio.encode_matrix(f, jsonio.encode_laurent) for f in space.basis],
-            "mon_comparison": _hom_report(c1, c2, space),
+            "mon_comparison": report,
         }
     if args.command == "trivialize":
         v = jsonio.decode_sigmamodule(doc)

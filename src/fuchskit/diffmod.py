@@ -40,7 +40,10 @@ def _as_laurent_entry(x):
 
 
 def laurent_matrix(rows):
-    """Matrix over K[t,1/t]; scalar entries are lifted to constants."""
+    """Matrix over K[t,1/t]; scalar entries are lifted to constants.  A Matrix
+    whose entries are already Laurent is returned as it is."""
+    if isinstance(rows, Matrix):
+        return rows if rows.ring is LaurentPoly else rows.map(_as_laurent_entry)
     return Matrix([[_as_laurent_entry(x) for x in row] for row in rows])
 
 
@@ -78,12 +81,9 @@ class DiffModule:
     __hash__ = None
 
     def __init__(self, matrix, twist=None):
-        if not isinstance(matrix, Matrix):
-            matrix = laurent_matrix(matrix)
+        matrix = laurent_matrix(matrix)
         if not matrix.is_square:
             raise DimensionMismatch("connection matrix must be square")
-        if matrix.ring is not LaurentPoly:
-            matrix = matrix.map(_as_laurent_entry)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "twist", twist)
 
@@ -146,10 +146,7 @@ def rank_one(a):
 
 def base_change(module, h):
     """Gauge by invertible H over K[t,1/t]: G -> partial(H) H^-1 + H G H^-1."""
-    if not isinstance(h, Matrix):
-        h = laurent_matrix(h)
-    if h.ring is not LaurentPoly:
-        h = h.map(_as_laurent_entry)
+    h = laurent_matrix(h)
     if h.rows != module.dim or not h.is_square:
         raise DimensionMismatch("gauge matrix has wrong shape")
     h_inv = laurent_matrix_inverse(h)
@@ -184,10 +181,7 @@ def hom_module(m1, m2):
 def block_extension(m1, m3, star):
     """Middle term of 0 -> M1 -> M2 -> M3 -> 0 with matrix [[G1, *], [0, G3]]."""
     m1._same_derivation(m3)
-    if not isinstance(star, Matrix):
-        star = laurent_matrix(star)
-    if star.ring is not LaurentPoly:
-        star = star.map(_as_laurent_entry)
+    star = laurent_matrix(star)
     if star.rows != m1.dim or star.cols != m3.dim:
         raise DimensionMismatch(
             f"star block must be {m1.dim} x {m3.dim}, got {star.rows} x {star.cols}"
@@ -210,8 +204,7 @@ def invert_coordinate(m):
 
 def twist_derivation(m, h):
     """View the module over the derivation h * (t d/dt), h a unit of A."""
-    if not isinstance(h, LaurentPoly):
-        h = _as_laurent_entry(h)
+    h = _as_laurent_entry(h)
     if not h.is_unit:
         raise NotAUnit(f"{h!r} is not a unit of K[t,1/t]")
     current = m.twist if m.twist is not None else LaurentPoly.one()
@@ -345,52 +338,33 @@ class HorizontalSpace:
 
 
 def _sylvester_operator(c_m, c_n):
-    """Matrix of F -> C_N F - F C_M on n_N x n_M matrices, row-major basis."""
-    nn, nm = c_n.rows, c_m.rows
-    dim = nn * nm
-    z = Cyclotomic.zero()
-    cols = []
-    for i in range(nn):
-        for j in range(nm):
-            image = [[z] * nm for _ in range(nn)]
-            for r in range(nn):
-                image[r][j] = image[r][j] + c_n.data[r][i]
-            for c in range(nm):
-                image[i][c] = image[i][c] - c_m.data[j][c]
-            cols.append([image[r][c] for r in range(nn) for c in range(nm)])
-    return Matrix(cols).transpose(), dim
+    """Matrix of F -> C_N F - F C_M on n_N x n_M matrices in the row-major
+    basis: the Kronecker sum C_N (x) I - I (x) C_M^T."""
+    return c_n.kron(Matrix.identity(c_m.rows)) - Matrix.identity(c_n.rows).kron(c_m.transpose())
 
 
 def horizontal_hom(m1, m2):
-    """Basis of Hom^nabla(M1, M2) over A for constant connection matrices.
-
-    The equation partial(F) + C2 F - F C1 = 0 splits by Laurent mode; mode k
-    contributes ker(k id + Sylvester), and only integers of the form
-    (eigenvalue of C1) - (eigenvalue of C2) can occur.
-    """
+    """Basis of Hom^nabla(M1, M2) over A for constant connection matrices."""
     m1._same_derivation(m2)
     c1, c2 = m1.constant_matrix(), m2.constant_matrix()
-    eig1 = eigenvalues(c1)
-    eig2 = eigenvalues(c2)
-    modes = set()
-    for a, _ in eig1:
-        for b, _ in eig2:
-            diff = a - b
-            rv = diff.rational_value
-            if rv is not None and rv.denominator == 1:
-                modes.add(int(rv))
-    syl, dim = _sylvester_operator(c1, c2)
+    return _hom_basis(c1, c2, eigenvalues(c1), eigenvalues(c2))
+
+
+def _hom_basis(c1, c2, spectrum1, spectrum2):
+    """horizontal_hom of the constant matrices c1, c2, whose eigenvalues are
+    the first entries of the pairs in spectrum1, spectrum2 (eigenvalues or
+    Jordan blocks).  partial(F) + C2 F - F C1 = 0 splits by Laurent mode k
+    into ker(k id + Sylvester), and k can only be an integer
+    (eigenvalue of C1) - (eigenvalue of C2)."""
+    diffs = ((a - b).rational_value for a, _ in spectrum1 for b, _ in spectrum2)
+    modes = sorted({int(rv) for rv in diffs if rv is not None and rv.denominator == 1})
+    syl = _sylvester_operator(c1, c2)
     basis = []
-    for k in sorted(modes):
-        op = syl + Matrix.identity(dim).scale(Cyclotomic.from_rat(k))
+    for k in modes:
+        op = syl + Matrix.identity(syl.cols).scale(Cyclotomic.from_rat(k))
         for vec in op.nullspace():
-            f = Matrix(
-                [
-                    [LaurentPoly({k: vec[i * m1.dim + j]}) for j in range(m1.dim)]
-                    for i in range(m2.dim)
-                ]
-            )
-            basis.append(f)
+            basis.append(Matrix([[LaurentPoly({k: vec[i * c1.rows + j]}) for j in range(c1.rows)]
+                                 for i in range(c2.rows)]))
     return HorizontalSpace(basis=basis)
 
 

@@ -114,9 +114,6 @@ class GroupAlgElem:
         return result
 
     def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -281,9 +278,6 @@ class ExpRingElem:
         return ExpRingElem([-x for x in self.ell])
 
     def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):

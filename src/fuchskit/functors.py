@@ -14,8 +14,10 @@ from math import comb, factorial
 from .diffmod import (
     DiffModule,
     HorizontalSpace,
+    _hom_basis,
     constant_matrix_of,
     dual,
+    expring_matrix_is_horizontal,
     horizontal_hom,
     match_left_factor,
     tensor,
@@ -60,11 +62,6 @@ class ExponentMultiset:
     @classmethod
     def from_classes(cls, classes):
         return cls(entries=tuple(sorted(classes, key=lambda a: a.value)))
-
-    def __eq__(self, other):
-        if not isinstance(other, ExponentMultiset):
-            return NotImplemented
-        return self.entries == other.entries
 
     def negated(self):
         return ExponentMultiset.from_classes([-a for a in self.entries])
@@ -193,10 +190,10 @@ def _section_search(module, g, exponent_candidates, laurent_degree_bound):
     return sections, candidates
 
 
-def _seed_block_inverse(lam, a_class, size):
+def _seed_block_inverse(lam, size):
     """t^(a+sc) Z0^-1 for J(a, size) with monodromy exactly J(lam, size),
     where the rows of Z0 are lam^i e_1^T X^i, X = exp(-N) - I.  The seeds
-    of the block have class sc = -a, so a + sc is 0 or 1."""
+    of the block have class sc = -a, so a + sc is 0 for lam = 1, else 1."""
     zero_c, one_c = Cyclotomic.zero(), Cyclotomic.one()
     x = Matrix(
         [
@@ -211,7 +208,7 @@ def _seed_block_inverse(lam, a_class, size):
         rows.append([lam_pow * c for c in current])
         current = (Matrix([current]) * x).data[0] if i + 1 < size else current
         lam_pow = lam_pow * lam
-    shift = 0 if a_class.is_zero else 1
+    shift = 0 if lam == 1 else 1
     return Matrix(rows).inverse().map(lambda z: LaurentPoly({shift: z}))
 
 
@@ -283,10 +280,9 @@ def find_constant_form(
     sigma_w0 = [[sum((w[j] * gamma(sc) for w in chain[1:]), chain[0][j] * gamma(sc)) for j in range(n)]
                 for sc, chain in sections]
     jd = jordan_form(match_left_factor(ell0_rows(w0), ell0_rows(sigma_w0)))
-    blocks = [(lam, -gamma_inverse(lam), size) for lam, size in jd.blocks]
     q_inv_w0 = jd.transform.inverse().map(LaurentPoly.from_scalar) * Matrix(w0)
-    h = Matrix.block_diag([_seed_block_inverse(lam, a, size) for lam, a, size in blocks]) * q_inv_w0
-    c = Matrix.block_diag([jordan_block(a.as_cyclotomic(), size) for _, a, size in blocks])
+    h = Matrix.block_diag([_seed_block_inverse(lam, size) for lam, size in jd.blocks]) * q_inv_w0
+    c = _rm_of_blocks(jd.blocks)
     if not _gauge_gives(module, h, c.map(LaurentPoly.from_scalar)):
         raise AssertionError("constant form verification failed; this is a bug")
     if not _horizontal_is_invertible(h):
@@ -312,21 +308,14 @@ def horizontal_sections(
 
     Column vectors v over the exponent ring with partial(v) + G v = 0: these
     are the row solutions of the transposed matrix, found by the same
-    seed-chain search as find_constant_form.  Every returned vector is
+    seed-chain search as find_constant_form.  The returned vectors are
     re-checked exactly against the defining equation.
     """
-    g = module.matrix
-    n = module.dim
-    sections, _ = _section_search(module, g.transpose(), exponent_candidates, laurent_degree_bound)
-    basis = [[ExpRingElem([GroupAlgElem({sc: w[j]}) for w in chain]) for j in range(n)] for sc, chain in sections]
-    g_e = g.map(ExpRingElem.from_laurent)
-    for v in basis:
-        image = [x.partial() for x in v]
-        for i in range(n):
-            for j in range(n):
-                image[i] = image[i] + g_e.data[i][j] * v[j]
-        if any(not x.is_zero for x in image):
-            raise AssertionError("section fails the defining equation; this is a bug")
+    sections, _ = _section_search(module, module.matrix.transpose(), exponent_candidates, laurent_degree_bound)
+    basis = [[ExpRingElem([GroupAlgElem({sc: w[j]}) for w in chain]) for j in range(module.dim)]
+             for sc, chain in sections]
+    if basis and not expring_matrix_is_horizontal(Matrix.from_columns(basis), module.matrix):
+        raise AssertionError("section fails the defining equation; this is a bug")
     return HorizontalSpace(basis=basis)
 
 
@@ -355,12 +344,13 @@ def _mon_of_blocks(blocks):
 
 def rm(v):
     """The inverse dictionary: J(lam, n) blocks become J(-gamma_inverse(lam), n)."""
-    jd = jordan_form(v.monodromy)
-    blocks = []
-    for lam, size in jd.blocks:
-        a = -gamma_inverse(lam)
-        blocks.append(jordan_block(a.as_cyclotomic(), size))
-    return DiffModule.from_constant(Matrix.block_diag(blocks))
+    return DiffModule.from_constant(_rm_of_blocks(jordan_form(v.monodromy).blocks))
+
+
+def _rm_of_blocks(blocks):
+    """The constant matrix of rm of a representation from the Jordan blocks
+    (lam, n) of its monodromy."""
+    return Matrix.block_diag([jordan_block((-gamma_inverse(lam)).as_cyclotomic(), size) for lam, size in blocks])
 
 
 def exponents(module, **opts):
@@ -447,19 +437,21 @@ def mon_hom_compare(m1, m2, **opts):
     """Check dim Hom^nabla(M, N) = dim Hom^Z(Mon M, Mon N), plus the exponent
     arithmetic of tensor and dual.  Returns a report dict."""
     c1, c2 = (DiffModule.from_constant(_constant_form_or_not_regular(m, **opts).constant) for m in (m1, m2))
-    return _hom_report(c1, c2, horizontal_hom(c1, c2))
+    return _hom_report(c1, c2)[1]
 
 
-def _hom_report(c1, c2, space):
-    """mon_hom_compare's report for constant modules c1, c2 and the
-    horizontal Hom space between them."""
+def _hom_report(c1, c2):
+    """The horizontal Hom space between the constant modules c1, c2 and
+    mon_hom_compare's report on them, from one Jordan form per constant."""
+    k1, k2 = c1.constant_matrix(), c2.constant_matrix()
+    blocks1, blocks2 = jordan_form(k1).blocks, jordan_form(k2).blocks
+    space = _hom_basis(k1, k2, blocks1, blocks2)
     d_hom = space.dimension
-    blocks1, blocks2 = (jordan_form(c.constant_matrix()).blocks for c in (c1, c2))
     d_mon = hom_dim(_mon_of_blocks(blocks1), _mon_of_blocks(blocks2))
     e1, e2 = _exponent_multiset(blocks1), _exponent_multiset(blocks2)
     tensor_ok = exponents(tensor(c1, c2)) == e1.pairwise_sums(e2)
     dual_ok = exponents(dual(c1)) == e1.negated()
-    return {
+    return space, {
         "hom_dim": d_hom,
         "mon_hom_dim": d_mon,
         "hom_match": d_hom == d_mon,

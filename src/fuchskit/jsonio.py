@@ -79,7 +79,7 @@ def decode_cyclotomic(doc, name="cyclotomic"):
         raise InputError(f"{name}.coeffs: expected a list of phi({n}) rationals, more than {size}")
     if not isinstance(coeffs, list) or size != euler_phi(n):
         raise InputError(f"{name}.coeffs: expected a list of {euler_phi(n)} rationals")
-    return Cyclotomic(n, [decode_rat(x, f"{name}.coeffs[{i}]") for i, x in enumerate(coeffs)], _reduced=True)
+    return Cyclotomic(n, [decode_rat(x, f"{name}.coeffs[{i}]") for i, x in enumerate(coeffs)])
 
 
 # -- ExponentClass -----------------------------------------------------------

@@ -114,11 +114,6 @@ class LaurentPoly:
         return result
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            c = _coerce_scalar(other)
-            if c is None:
-                return NotImplemented
-            other = LaurentPoly({0: c})
         return self + (-other)
 
     def __rsub__(self, other):

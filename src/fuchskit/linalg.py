@@ -19,10 +19,8 @@ from .errors import DivisionByZero, EigenvalueNotFound, NonSquare
 from .ratio import Rat, is_int
 from .scalar import (
     Cyclotomic,
-    _divmod_monic,
     _poly_xgcd,
     _prime_root,
-    cyclotomic_polynomial,
     divisors,
     euler_phi,
 )
@@ -302,24 +300,12 @@ def charpoly(m):
     return _berkowitz(m)
 
 
-def poly_eval(p, x):
-    acc = p[-1]
+def _divide_linear(p, lam):
+    """Synthetic division of p by (x - lam): the quotient and p(lam)."""
+    acc = [p[-1]]
     for c in p[-2::-1]:
-        acc = acc * x + c
-    return acc
-
-
-def poly_div_linear(p, lam):
-    """Divide p by (x - lam); requires lam to be a root. Returns the quotient."""
-    n = len(p) - 1
-    q = [Cyclotomic.zero()] * n
-    carry = p[n]
-    for i in range(n - 1, -1, -1):
-        q[i] = carry
-        carry = p[i] + carry * lam
-    if not carry.is_zero:
-        raise ArithmeticError("not a root")
-    return q
+        acc.append(c + acc[-1] * lam)
+    return acc[-2::-1], acc[-1]
 
 
 def _rational_roots_of(q):
@@ -360,10 +346,9 @@ def _rational_part(p):
     a primitive integer polynomial.
 
     The basis is Q-linearly independent, so a polynomial over Q divides p
-    exactly when it divides every p_i: the rational roots of p, and the
-    cyclotomic factors Phi_d of p for d coprime to N, are those of the gcd.
-    The p_i are read as integers, scaled by the common denominator of the
-    coefficients of p, which changes no divisor.
+    exactly when it divides every p_i, so the rational roots of p are those
+    of the gcd.  The p_i are read as integers, scaled by the common
+    denominator of the coefficients of p, which changes no divisor.
     """
     n = lcm(*(c.n for c in p))
     den = lcm(*(c._den for c in p))
@@ -427,16 +412,10 @@ def _root_candidates(p):
     """Possible roots of p in Q union mu_infinity, in sort_key order: the
     rational roots, then zeta_d^j by order d (see _root_orders) and
     exponent j."""
-    rational = _rational_part(p)
-    yield from map(Cyclotomic.from_rat, _rational_roots_of(rational))
+    yield from map(Cyclotomic.from_rat, rational_roots(p))
     n = lcm(*(c.n for c in p))
     for d in _root_orders(n, len(p) - 1):
-        exps = [j for j in range(1, d) if gcd(j, d) == 1]
-        if gcd(n, d) > 1:
-            exps = _unit_root_filter(p, n, d, exps)
-        elif any(_divmod_monic(rational, cyclotomic_polynomial(d))[1]):
-            continue
-        for j in exps:
+        for j in _unit_root_filter(p, n, d, [j for j in range(1, d) if gcd(j, d) == 1]):
             yield Cyclotomic.root_of_unity(d, j)
 
 
@@ -463,9 +442,11 @@ def poly_roots(p):
                 f"{len(remaining) - 1} with no root in Q or in the roots of unity"
             )
         mult = 0
-        while len(remaining) > 1 and poly_eval(remaining, lam).is_zero:
-            remaining = poly_div_linear(remaining, lam)
-            mult += 1
+        while len(remaining) > 1:
+            quotient, value = _divide_linear(remaining, lam)
+            if not value.is_zero:
+                break
+            remaining, mult = quotient, mult + 1
         if mult:
             roots.append((lam, mult))
     return roots

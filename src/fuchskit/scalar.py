@@ -255,18 +255,14 @@ class Cyclotomic:
 
     n = property(attrgetter("_n"), doc="The conductor label N.")
 
-    def __init__(self, conductor, coeffs, _reduced=False):
+    def __init__(self, conductor, coeffs):
         if conductor < 1:
             raise ValueError("conductor must be positive")
         qs = [x if isinstance(x, Rat) else Rat(x) for x in coeffs]
         den = lcm(*(q.denominator for q in qs))
         num = [q.numerator * (den // q.denominator) for q in qs]
-        phi = euler_phi(conductor)
-        if not _reduced:
-            num = _divmod_monic(num, cyclotomic_polynomial(conductor))[1]
-            num += [0] * (phi - len(num))
-        elif len(num) != phi:
-            raise ValueError("coefficient vector has wrong length")
+        num = _divmod_monic(num, cyclotomic_polynomial(conductor))[1]
+        num += [0] * (euler_phi(conductor) - len(num))
         x = _normal(conductor, num, den)
         self._n, self._num, self._den = x._n, x._num, x._den
 

@@ -3,14 +3,14 @@
 A representation is determined by the single invertible operator [1]; the
 classification is its Jordan normal form.  Every such module is trivialized
 over the exponent ring: per Jordan block J(lam, n), pick a with
-gamma(a) = 1/lam, rescale by t^a and a constant diagonal, then solve the
-d_sigma system for the remaining log-polynomial coefficients.
+gamma(a) = 1/lam, rescale by t^a and a constant diagonal, and fill the
+unipotent part with the log-polynomials binom(-ell, j).
 """
 
 from .errors import DimensionMismatch, ZeroEigenvalue
-from .expring import ExpRingElem, solve_dsigma
+from .expring import ExpRingElem, GroupAlgElem, binom_ell_poly
 from .linalg import Matrix, det_cofactor, jordan_form
-from .scalar import as_cyclotomic, gamma_inverse
+from .scalar import Cyclotomic, as_cyclotomic, gamma_inverse
 from .diffmod import _sylvester_operator
 
 
@@ -69,8 +69,8 @@ def dual(v):
 
 def hom_dim(v, w):
     """dim Hom^Z(V, W) = dim{F : F S_V = S_W F}, an exact Sylvester kernel."""
-    syl, dim = _sylvester_operator(v.monodromy, w.monodromy)
-    return dim - syl.rank()
+    syl = _sylvester_operator(v.monodromy, w.monodromy)
+    return syl.cols - syl.rank()
 
 
 def isomorphism(v, w):
@@ -86,16 +86,13 @@ def isomorphism(v, w):
 # ---------------------------------------------------------------------------
 # trivialization over the exponent ring
 
-_TRIV_POLYS = [ExpRingElem.one()]
-
 
 def _triv_poly(j):
-    """The universal log-polynomials p_j in K[ell] of the block system:
-    p_0 = 1, d_sigma(p_j) = -sigma(p_{j-1}); free constants fixed to zero."""
-    while len(_TRIV_POLYS) <= j:
-        prev = _TRIV_POLYS[-1]
-        _TRIV_POLYS.append(solve_dsigma(-(prev.sigma())))
-    return _TRIV_POLYS[j]
+    """p_j = binom(-ell, j) in K[ell], read off binom(ell, j) with the sign
+    (-1)^m on ell^m: by Pascal's rule and sigma(ell) = ell + 1 it solves the
+    block system d_sigma(p_j) = -sigma(p_(j-1)), p_0 = 1, p_j(0) = 0 (j > 0)."""
+    return ExpRingElem([GroupAlgElem.from_scalar(Cyclotomic.from_rat(c if m % 2 == 0 else -c))
+                        for m, c in enumerate(binom_ell_poly(j))])
 
 
 def trivialize(v):
@@ -104,8 +101,8 @@ def trivialize(v):
 
     Per Jordan block J(lam, n): a = -gamma_inverse(lam), so gamma(a) = 1/lam, then
     B_block = t^a * diag(1, lam, ..., lam^(n-1)) * X(ell) with X unipotent
-    upper triangular, X[i][k] = p_{k-i}.  Raises NotRootOfUnity when an
-    eigenvalue is not a root of unity.
+    upper triangular, X[i][k] = p_{k-i} = binom(-ell, k-i).  Raises
+    NotRootOfUnity when an eigenvalue is not a root of unity.
     """
     jd = jordan_form(v.monodromy)
     blocks = []

@@ -1,5 +1,6 @@
 """CLI behavior: commands, determinism, exit codes, the mutant check."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -103,17 +104,17 @@ class TestCommands:
         assert len(calls) == 2
 
     def test_hom_computes_the_hom_space_once(self, capsys, monkeypatch):
-        from fuchskit import cli, diffmod, functors
+        from fuchskit import diffmod, functors
 
         calls = []
-        hom = diffmod.horizontal_hom
+        hom = diffmod._hom_basis
 
         def counted(*args, **kwargs):
             calls.append(args)
             return hom(*args, **kwargs)
 
-        for module in (cli, diffmod, functors):
-            monkeypatch.setattr(module, "horizontal_hom", counted)
+        for module in (diffmod, functors):
+            monkeypatch.setattr(module, "_hom_basis", counted)
         pair = json.dumps({
             "left": {"dim": 2, "matrix": [["1/2", "1"], ["0", "1/2"]]},
             "right": {"dim": 2, "matrix": [["1/2", "0"], ["0", "1/3"]]},
@@ -170,6 +171,14 @@ class TestDeterminism:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_verify_report_is_pinned(self):
+        # byte for byte what `fuchs-kit verify --suite all --seed 42 --cases 8` prints
+        from fuchskit.verify import run_suite
+
+        report = json.dumps(run_suite(seed=42, cases=8), indent=2, sort_keys=True) + "\n"
+        digest = hashlib.sha256(report.encode()).hexdigest()
+        assert digest == "c7b9ec5e1bd2df20941307d8230f05547925524627cb4076e01da478f9cded03"
+
     def test_output_reparses_to_same_value(self, capsys):
         from fuchskit import jsonio
         from fuchskit.functors import rm
@@ -210,6 +219,17 @@ class TestExitCodes:
     def test_missing_input_is_two(self, capsys):
         code, out = run_cli(capsys, "exponents")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "nosuch"),
+        ("--cases", "0"),
+        ("--cases", "-2"),
+        ("--max-dim", "0"),
+    ])
+    def test_malformed_verify_is_two(self, capsys, argv):
+        code, out = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidInput"
 
     def test_huge_conductor_is_two_without_factoring(self):
         # two 19-digit prime factors: Pollard rho would need ~10^9 steps,

@@ -5,6 +5,8 @@ cokernel oracle; horizontal Hom dimensions against a windowed kernel
 oracle.  Neither oracle knows about the mode analysis used by the library.
 """
 
+import random
+
 import pytest
 
 from fuchskit.diffmod import (
@@ -26,6 +28,7 @@ from fuchskit.diffmod import (
     rank_one,
     tensor,
     twist_derivation,
+    _sylvester_operator,
 )
 from fuchskit.errors import (
     DerivationMismatch,
@@ -263,6 +266,42 @@ class TestHorizontalHom:
             m2 = rand_constant_module(rng, sizes)
             for f in horizontal_hom(m1, m2).basis:
                 assert is_horizontal_morphism(f, m1, m2)
+
+    @staticmethod
+    def loop_sylvester(c_m, c_n):
+        """F -> C_N F - F C_M built column by column, row-major basis."""
+        nn, nm = c_n.rows, c_m.rows
+        z = Cyclotomic.zero()
+        cols = []
+        for i in range(nn):
+            for j in range(nm):
+                image = [[z] * nm for _ in range(nn)]
+                for r in range(nn):
+                    image[r][j] = image[r][j] + c_n.data[r][i]
+                for c in range(nm):
+                    image[i][c] = image[i][c] - c_m.data[j][c]
+                cols.append([image[r][c] for r in range(nn) for c in range(nm)])
+        return Matrix(cols).transpose()
+
+    def test_kronecker_sum_matches_the_loop_operator(self):
+        rng = random.Random(12)
+
+        def entry():
+            kind = rng.random()
+            if kind < 0.2:
+                return Cyclotomic.zero()
+            if kind < 0.5:
+                return C(Rat(rng.randint(-3, 3), rng.randint(1, 4)))
+            return Cyclotomic(12, [Rat(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(4)])
+
+        for _ in range(30):
+            nm, nn = rng.randint(1, 3), rng.randint(1, 3)
+            c_m = Matrix([[entry() for _ in range(nm)] for _ in range(nm)])
+            c_n = Matrix([[entry() for _ in range(nn)] for _ in range(nn)])
+            got, want = _sylvester_operator(c_m, c_n), self.loop_sylvester(c_m, c_n)
+            assert (got.rows, got.cols) == (want.rows, want.cols) == (nn * nm, nn * nm)
+            for row_got, row_want in zip(got.data, want.data):
+                assert [(x.n, x) for x in row_got] == [(x.n, x) for x in row_want]
 
     def test_dimension_matches_windowed_oracle(self, rng):
         sizes = Sizes(max_dim=2, max_numerator=2)

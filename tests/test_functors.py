@@ -307,6 +307,26 @@ class TestJordanEliminations:
         assert json.loads(capsys.readouterr().out)["mon_comparison"]["ok"]
         assert len(calls) <= 6
 
+    def test_cli_hom_makes_at_most_four_root_searches(self, capsys, monkeypatch):
+        # the Hom basis takes both spectra from the Jordan forms that mon and
+        # the exponents use, so only the tensor and the dual search again
+        import json
+        import sys
+
+        import fuchskit.linalg as linalg
+        from fuchskit.cli import main
+
+        calls = []
+        search = linalg.poly_roots
+        for module in [m for name, m in sys.modules.items() if name.startswith("fuchskit")]:
+            if getattr(module, "poly_roots", None) is search:
+                monkeypatch.setattr(module, "poly_roots", lambda p: calls.append(p) or search(p))
+        left = {"dim": 2, "matrix": [["1", "1/2"], ["1", "1/2"]]}
+        right = {"dim": 2, "matrix": [["0", "1"], ["1/4", "0"]]}
+        assert main(["hom", "--json", json.dumps({"left": left, "right": right})]) == 0
+        assert json.loads(capsys.readouterr().out)["mon_comparison"]["ok"]
+        assert len(calls) <= 4
+
 
 class TestConductorBound:
     """The eigenvalue search of the section monodromy inside the

@@ -32,12 +32,13 @@ from fuchskit.linalg import (
     jordan_block,
     jordan_form,
     poly_roots,
+    _divide_linear,
     _jordan_elimination,
     _root_candidates,
     _root_orders,
 )
 from fuchskit.ratio import Rat
-from fuchskit.scalar import Cyclotomic, cyclotomic_polynomial
+from fuchskit.scalar import Cyclotomic, cyclotomic_polynomial, euler_phi
 
 C = Cyclotomic.from_rat
 
@@ -226,6 +227,26 @@ class TestPolyRoots:
         # every exponent at two distinct primes leaves nothing to build
         p = [Cyclotomic.root_of_unity(n) * -2] + [C(0)] * (k - 1) + [C(1)]
         assert list(_root_candidates(p)) == []
+
+    def test_divide_linear_reconstructs(self):
+        # quotient * (x - lam) + p(lam) = p, and p(lam) is the Horner value
+        rng = random.Random(5)
+
+        def coeff():
+            n = rng.choice((1, 3, 4, 12))
+            return Cyclotomic(n, [Rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(n))])
+
+        for _ in range(30):
+            p = [coeff() for _ in range(rng.randint(2, 6))]
+            lam = coeff()
+            quotient, value = _divide_linear(p, lam)
+            assert len(quotient) == len(p) - 1
+            rebuilt = _poly_mul(quotient, [-lam, C(1)])
+            assert [rebuilt[0] + value] + rebuilt[1:] == p
+            horner = p[-1]
+            for c in p[-2::-1]:
+                horner = horner * lam + c
+            assert value == horner
 
     def test_repeated_root(self):
         z7 = Cyclotomic.root_of_unity(7)

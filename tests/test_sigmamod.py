@@ -2,8 +2,9 @@
 
 import pytest
 
+from fuchskit import jsonio
 from fuchskit.errors import ZeroEigenvalue
-from fuchskit.expring import ExpRingElem
+from fuchskit.expring import ExpRingElem, solve_dsigma
 from fuchskit.generate import Sizes, rand_invertible_constant, rand_sigma_module
 from fuchskit.linalg import Matrix, det_cofactor, jordan_block
 from fuchskit.ratio import Rat
@@ -18,6 +19,7 @@ from fuchskit.sigmamod import (
     rank_one,
     tensor,
     trivialize,
+    _triv_poly,
 )
 
 C = Cyclotomic.from_rat
@@ -109,6 +111,15 @@ class TestTrivialize:
             det = det_cofactor(b)
             # determinant must be a unit of the exponent ring
             assert expring_unit_inverse(det) * det == ExpRingElem.one()
+
+    def test_closed_form_matches_the_dsigma_recursion(self):
+        # reference: the defining recursion p_0 = 1, p_j = solve_dsigma(-sigma(p_(j-1)))
+        p = ExpRingElem.one()
+        for j in range(9):
+            if j:
+                p = solve_dsigma(-(p.sigma()))
+            assert _triv_poly(j) == p
+            assert jsonio.encode_expring(_triv_poly(j)) == jsonio.encode_expring(p)
 
     def test_mixed_orders(self):
         v = SigmaModule(
