@@ -32,6 +32,7 @@ from .laurent import LaurentPoly, kernel_partial_plus, kernel_partial_square
 from .linalg import (
     Matrix,
     charpoly,
+    column_kernel,
     det_cofactor,
     eigenvalues,
     jordan_block,
@@ -124,7 +125,7 @@ def _operator_powers(g):
 
 def _window_images(powers, search_class, bound):
     """T^n(t^d e_i) for d in [-bound, bound] (d outer, i inner) as maps
-    (j, degree) -> nonzero coefficient, from powers[i][k] = T_0^k(e_i) by the
+    (degree, j) -> nonzero coefficient, from powers[i][k] = T_0^k(e_i) by the
     shift identity (see _row_solution_chains)."""
     n = len(powers)
     images = []
@@ -135,8 +136,8 @@ def _window_images(powers, search_class, bound):
             for scale, row in zip(scales, seq):
                 for j, f in enumerate(row):
                     for e, c in f.terms.items():
-                        prev = img.get((j, e + d))
-                        img[j, e + d] = c * scale if prev is None else prev + c * scale
+                        prev = img.get((e + d, j))
+                        img[e + d, j] = c * scale if prev is None else prev + c * scale
             images.append({key: c for key, c in img.items() if not c.is_zero})
     return images
 
@@ -148,15 +149,21 @@ def _row_solution_chains(g, search_class, bound, powers):
     T = partial + a + G satisfies T(t^d w) = t^d (T + d)(w) and T = T_0 + a,
     so the image of a unit seed is T^n(t^d e_i) =
     t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i), summed over k in increasing
-    order; powers holds the T_0^k(e_i), shared by every search class."""
+    order; powers holds the T_0^k(e_i), shared by every search class.
+
+    The seeds w_0 are the kernel of the images, in seed order, by
+    column_kernel: the canonical basis (the identity on the columns that
+    depend on earlier ones) depends only on the kernel and that order, so it
+    is the basis a dense nullspace gives.  An image has degrees in
+    [d + n lo, d + n hi] for G of degrees [lo, hi]; keyed by (degree, j), the
+    images form a band, and the search costs time linear in the window
+    times the band."""
     if bound < 0:
         return []  # an empty window holds no seeds
     n = g.rows
     a_scalar = Cyclotomic.from_rat(search_class.value)
-    images = _window_images(powers, search_class, bound)
-    keys = sorted(set().union(*images)) or [None]
     chains = []
-    for combo in Matrix([[img.get(key, Cyclotomic.zero()) for img in images] for key in keys]).nullspace():
+    for combo in column_kernel(_window_images(powers, search_class, bound)):
         chain = [[LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]]
         k = 0
         while True:

@@ -6,6 +6,7 @@ solvability questions are degree-wise exact linear algebra.
 """
 
 from .errors import LogObstruction, NotAUnit
+from .linalg import column_kernel
 from .ratio import Rat
 from .scalar import Cyclotomic, ExponentClass, as_cyclotomic
 
@@ -206,24 +207,11 @@ def _windowed_kernel(lo, hi, diag_scalars):
     """Exact kernel of a degree-diagonal operator on span{t^lo..t^hi}.
 
     The operator multiplies mode d by diag_scalars(d); computed as honest
-    linear algebra (nullspace of the operator matrix) rather than by the
+    linear algebra (the kernel of the operator's columns) rather than by the
     shortcut, so the windowed theorems are checked, not assumed.
     """
-    from .linalg import Matrix
-
-    degrees = list(range(lo, hi + 1))
-    if not degrees:
-        return []
-    n = len(degrees)
-    rows = [
-        [diag_scalars(degrees[j]) if i == j else Cyclotomic.zero() for j in range(n)]
-        for i in range(n)
-    ]
-    kernel = Matrix(rows).nullspace()
-    basis = []
-    for vec in kernel:
-        basis.append(LaurentPoly({d: c for d, c in zip(degrees, vec)}))
-    return basis
+    degrees = range(lo, hi + 1)
+    return [LaurentPoly(dict(zip(degrees, vec))) for vec in column_kernel([{d: diag_scalars(d)} for d in degrees])]
 
 
 def kernel_partial(lo, hi):

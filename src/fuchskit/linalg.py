@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over the cyclotomic scalars.
+"""Exact linear algebra over the cyclotomic scalars: dense matrices, and a
+sparse kernel for long banded column sets (column_kernel).
 
 Matrix is generic over any commutative ring element type exposing zero()/
 one() classmethods and the usual operators; field algorithms (rref,
@@ -13,6 +14,7 @@ EigenvalueNotFound instead of an approximation.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DivisionByZero, EigenvalueNotFound, NonSquare
@@ -226,6 +228,89 @@ class Matrix:
         if tuple(pivots) != tuple(range(n)):
             raise DivisionByZero("matrix is singular")
         return Matrix([row[n:] for row in red.data])
+
+
+def column_kernel(columns):
+    """The kernel basis Matrix.from_columns(columns).nullspace() would give,
+    by sparse elimination: columns are dicts from row keys (any sortable
+    values) to entries, and a key missing from a column is a zero entry.
+
+    nullspace returns the one basis that is the identity on the free
+    columns, and the free columns are those in the span of the earlier ones,
+    so the basis depends only on the kernel and the column order: the vector
+    of a free column f is e_f minus the coordinates of column f in the pivot
+    columns before it, which this computes in two passes.
+
+    Pass 1, a sparse LU in column order: each column is reduced against the
+    earlier pivot columns in increasing key order (a heap), and one that does
+    not reduce to zero becomes a pivot at its lowest remaining key; only the
+    multipliers and the reduced column are stored, with the inverse of its
+    pivot entry.  Pass 2 runs only for a column that reduced to zero: its
+    multipliers are expanded through those of the pivots, in decreasing
+    column order, into coordinates in the original pivot columns.  Nothing
+    tracks combinations of the original columns, whose size would grow with
+    the square of the number of columns.  When the keys put every column
+    inside a band of rows, as the window search's (degree, coordinate) keys
+    do, fill-in stays inside the band: pass 1 costs about band^2 operations
+    per column and pass 2 about band per pivot walked, for each kernel
+    vector, so the cost is linear in the number of columns.
+    """
+    zero, one = Cyclotomic.zero(), Cyclotomic.one()
+    pivot_at = {}  # pivot key -> pivot column
+    below = {}  # pivot column -> (its reduced entries after the pivot key, inverse of the pivot entry)
+    used_by = {}  # pivot column -> [(earlier pivot column, multiplier)]
+    basis = []
+    for f, column in enumerate(columns):
+        col = dict(column)
+        heap = list(col)
+        heapify(heap)
+        used = []
+        while heap:
+            key = heappop(heap)
+            p = pivot_at.get(key)
+            if p is None:
+                continue
+            x = col.pop(key)
+            if x.is_zero:
+                continue
+            rest, inv = below[p]
+            m = x * inv
+            used.append((p, m))
+            for k, y in rest.items():
+                prev = col.get(k)
+                if prev is None:
+                    col[k] = -(m * y)
+                    heappush(heap, k)
+                else:
+                    col[k] = prev - m * y
+        col = {k: x for k, x in col.items() if not x.is_zero}
+        if col:
+            key = min(col)
+            pivot_at[key] = f
+            pivot = col.pop(key)
+            below[f] = (col, pivot.inverse())
+            used_by[f] = used
+            continue
+        coords = dict(used)
+        order = [-p for p in coords]
+        heapify(order)
+        vec = [zero] * len(columns)
+        vec[f] = one
+        while order:
+            p = -heappop(order)
+            x = coords[p]
+            if x.is_zero:
+                continue
+            vec[p] = -x
+            for q, m in used_by[p]:
+                prev = coords.get(q)
+                if prev is None:
+                    coords[q] = -(x * m)
+                    heappush(order, -q)
+                else:
+                    coords[q] = prev - x * m
+        basis.append(vec)
+    return basis
 
 
 def _dot(xs, ys):

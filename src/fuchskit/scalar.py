@@ -391,6 +391,8 @@ class Cyclotomic:
             # no convolution, and the same demotion as the general product
             r, x = (other, self) if other._n == 1 else (self, other)
             rn, rd = r._num[0], r._den
+            if rn == 0:
+                return _ZERO
             if x._n == 1:
                 return _rat(rn * x._num[0], rd * x._den)
             if rn == 1 and rd == 1:

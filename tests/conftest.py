@@ -1,4 +1,5 @@
-"""Shared test helpers: independent numeric oracles and hypothesis strategies.
+"""Shared test helpers: independent numeric oracles, hypothesis strategies,
+and a child process that times work under a memory limit.
 
 The library itself never touches floating point; the complex-embedding
 oracle below lives only in the tests, as an independent cross-check of the
@@ -6,6 +7,8 @@ exact cyclotomic arithmetic.
 """
 
 import cmath
+import subprocess
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -76,3 +79,42 @@ def rng():
     import random
 
     return random.Random(20250809)
+
+
+# -- child processes ----------------------------------------------------------
+
+_CHILD = """
+import resource, sys, time
+try:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+except (ValueError, OSError):
+    pass
+from fuchskit.scalar import Cyclotomic
+{setup}
+start = time.perf_counter()
+{work}
+elapsed = time.perf_counter() - start
+try:
+    # the peak of this address space; ru_maxrss survives exec, so it would
+    # carry the peak of the test process that started this one
+    with open("/proc/self/status") as fh:
+        kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+print(elapsed, kb / 1024)
+"""
+
+
+def run_child(setup, work, *args, timeout=120):
+    """Seconds and peak MB of work in a child process under an address-space
+    limit, after setup and the imports; a child still running after timeout
+    seconds fails the test instead of hanging the suite."""
+    pytest.importorskip("resource")
+    import os
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = _CHILD.format(setup=setup, work=work)
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return tuple(map(float, done.stdout.split()))

@@ -7,14 +7,12 @@ gamma_inverse.
 
 import hashlib
 import random
-import subprocess
-import sys
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_close, cyclotomics, embed_complex, exponent_classes
+from conftest import assert_close, cyclotomics, embed_complex, exponent_classes, run_child
 
 from fuchskit.errors import DivisionByZero, NotRootOfUnity
 from fuchskit.ratio import Rat
@@ -270,27 +268,6 @@ class TestRootsOfUnityRoundTrip:
         assert Cyclotomic(q, [1] * (q - 1)).as_root_of_unity() == (2 * q, q - 2)
 
 
-_CHILD = """
-import resource, sys, time
-try:
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-except (ValueError, OSError):
-    pass
-from fuchskit.scalar import Cyclotomic
-{setup}
-start = time.perf_counter()
-{work}
-elapsed = time.perf_counter() - start
-try:
-    # the peak of this address space; ru_maxrss survives exec, so it would
-    # carry the peak of the test process that started this one
-    with open("/proc/self/status") as fh:
-        kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-except OSError:
-    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
-print(elapsed, kb / 1024)
-"""
-
 _RANK_ONE_SETUP = """
 from fractions import Fraction
 from fuchskit import exponents, mon, rank_one
@@ -320,38 +297,24 @@ else:
 """
 
 
-def _run_child(setup, work, *args):
-    """Seconds and peak MB of work in a child process under an address-space
-    limit, after setup and the imports."""
-    pytest.importorskip("resource")
-    import os
-
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    script = _CHILD.format(setup=setup, work=work)
-    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return tuple(map(float, done.stdout.split()))
-
-
 class TestLargePrimeConductor:
     # each in a child process: a dense table of the powers z^e would take
     # tens of gigabytes at 100003 and 200006
 
     def test_rank_one_mon_at_100003_stays_small(self):
-        elapsed, rss_mb = _run_child(_RANK_ONE_SETUP, _RANK_ONE_WORK, 100003)
+        elapsed, rss_mb = run_child(_RANK_ONE_SETUP, _RANK_ONE_WORK, 100003)
         assert elapsed < 5, elapsed
         assert rss_mb < 50, rss_mb
 
     @pytest.mark.parametrize("n", [4006, 200006])
     def test_rank_one_mon_at_twice_a_prime_stays_small(self, n):
         # N - phi(N) = N/2 + 1: every power z^e with e >= phi(N) is a row
-        elapsed, rss_mb = _run_child(_RANK_ONE_SETUP, _RANK_ONE_WORK, n)
+        elapsed, rss_mb = run_child(_RANK_ONE_SETUP, _RANK_ONE_WORK, n)
         assert elapsed < 2, elapsed
         assert rss_mb < 100, rss_mb
 
     def test_failing_eigenvalue_search_at_2520_stays_small(self):
-        elapsed, rss_mb = _run_child(_NO_ROOT_SETUP, _NO_ROOT_WORK)
+        elapsed, rss_mb = run_child(_NO_ROOT_SETUP, _NO_ROOT_WORK)
         assert elapsed < 2, elapsed
         assert rss_mb < 100, rss_mb
 

@@ -2,20 +2,30 @@
 
 The images T_a^n(t^d e_i) of the unit seeds come from the shift identity
 T_a^n(t^d e_i) = t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i); they are compared
-here with a direct n-fold application of T_a.  The gauge checks of
-find_constant_form and fuchs_decomposition use partial(H) + H G = C H in
-place of base_change, which is compared with base_change itself.
+here with a direct n-fold application of T_a.  Their kernel is taken by the
+sparse linalg.column_kernel; the chains are compared, value and conductor
+label, with those of the dense path it replaced (a dense matrix of the images
+and Matrix.nullspace, kept here as the oracle), and a child process checks
+that an irregular search over a wide window stays fast and small.  The
+gauge checks of find_constant_form and fuchs_decomposition use
+partial(H) + H G = C H in place of base_change, which is compared with
+base_change itself.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from fuchskit import diffmod, functors
+from conftest import run_child
+
+from fuchskit import diffmod, functors, linalg
 from fuchskit.diffmod import DiffModule, base_change, laurent_matrix
 from fuchskit.functors import (
+    _apply_row_operator,
     _gauge_gives,
     _operator_powers,
+    _row_solution_chains,
     _window_images,
     find_constant_form,
     fuchs_decomposition,
@@ -60,7 +70,7 @@ def direct_image(g, a, d, i):
             sum((row[k] * g.data[k][j] for k in range(n)), row[j].partial() + row[j] * a)
             for j in range(n)
         ]
-    return {(j, e): c for j, f in enumerate(row) for e, c in f.terms.items()}
+    return {(e, j): c for j, f in enumerate(row) for e, c in f.terms.items()}
 
 
 class TestShiftIdentity:
@@ -178,3 +188,106 @@ class TestInverseFreeCheck:
         monkeypatch.undo()
         assert base_change(m, cf.gauge).matrix == cf.constant.map(LaurentPoly.from_scalar)
         assert base_change(m, fd.gauge).matrix == fd.triangular.map(LaurentPoly.from_scalar)
+
+
+def dense_chains(g, search_class, bound, powers):
+    """_row_solution_chains as it was before the sparse kernel: the seed
+    images written into a dense matrix, one row per (coordinate, degree) key,
+    and the kernel taken by Matrix.nullspace."""
+    n = g.rows
+    a_scalar = Cyclotomic.from_rat(search_class.value)
+    images = [{(j, e): c for (e, j), c in img.items()} for img in _window_images(powers, search_class, bound)]
+    keys = sorted(set().union(*images)) or [None]
+    chains = []
+    for combo in Matrix([[img.get(key, Cyclotomic.zero()) for img in images] for key in keys]).nullspace():
+        chain = [[LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]]
+        for k in range(1, n + 1):
+            img = _apply_row_operator(g, a_scalar, chain[-1])
+            if all(f.is_zero for f in img):
+                break
+            chain.append([f * Cyclotomic.from_rat(Rat(-1, k)) for f in img])
+        chains.append(chain)
+    return chains
+
+
+def chains_digest(chains):
+    """sha256 of every coefficient of every chain, value and conductor label."""
+    text = repr([[[sorted((d, repr(c), c.n) for d, c in f.terms.items()) for f in row] for row in chain]
+                 for chain in chains])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestAgainstDenseWindow:
+    @pytest.mark.parametrize("conductor_12", [False, True], ids=["rational", "conductor12"])
+    def test_random_connections(self, conductor_12):
+        rng = random.Random(f"dense-window:{conductor_12}")
+        for trial in range(9):
+            g = rand_connection(rng, 1 + trial % 3, conductor_12)
+            powers = _operator_powers(g)
+            for a in (Rat(0), Rat(1, 2), Rat(2, 3)):
+                for bound in (-1, 0, 3):
+                    sc = ExponentClass(a)
+                    if bound < 0:
+                        assert _row_solution_chains(g, sc, bound, powers) == []
+                        continue
+                    expected = chains_digest(dense_chains(g, sc, bound, powers))
+                    assert chains_digest(_row_solution_chains(g, sc, bound, powers)) == expected
+
+    @pytest.mark.parametrize("conductor_12", [False, True], ids=["rational", "conductor12"])
+    def test_sheared_modules(self, conductor_12):
+        # regular modules, so that the kernels are full
+        rng = random.Random(f"dense-window-sheared:{conductor_12}")
+        sizes = Sizes(max_dim=3)
+        found = 0
+        for trial in range(6):
+            dim = 1 + trial % 3
+            exps = [Rat(rng.randint(0, 5), 6) for _ in range(dim)]
+            c = Matrix.block_diag([jordan_block(Cyclotomic.from_rat(a), 1) for a in exps])
+            if conductor_12:
+                c = c + Matrix([[Z12 if s == r + 1 else Cyclotomic.zero() for s in range(dim)] for r in range(dim)])
+            g = base_change(DiffModule.from_constant(c), rand_shearing_gauge(rng, sizes, dim)).matrix
+            powers = _operator_powers(g)
+            for a in sorted({-ExponentClass(a) for a in exps}, key=lambda x: x.value):
+                chains = _row_solution_chains(g, a, 4, powers)
+                assert chains_digest(chains) == chains_digest(dense_chains(g, a, 4, powers))
+                found += len(chains)
+        assert found >= 12
+
+    def test_builds_no_matrix(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the window search built a dense matrix")
+
+        g = sheared_module().matrix
+        powers = _operator_powers(g)
+        monkeypatch.setattr(functors, "Matrix", refuse)
+        monkeypatch.setattr(linalg.Matrix, "rref", refuse)
+        assert len(_row_solution_chains(g, ExponentClass(Rat(1, 2)), 6, powers)) == 2
+
+
+_IRREGULAR_SETUP = """
+from fuchskit.diffmod import DiffModule
+from fuchskit.errors import NotFoundWithinBounds
+from fuchskit.functors import find_constant_form
+from fuchskit.laurent import LaurentPoly
+from fuchskit.linalg import Matrix
+from fuchskit.ratio import Rat
+module = DiffModule(Matrix([[LaurentPoly({0: Rat(1, 2), 1: 1})]]))
+bound = int(sys.argv[1])
+"""
+
+_IRREGULAR_WORK = """
+try:
+    find_constant_form(module, exponent_candidates=[Rat(1, 2)], laurent_degree_bound=bound)
+except NotFoundWithinBounds:
+    pass
+else:
+    raise AssertionError("1/2 + t is irregular at infinity")
+"""
+
+
+class TestWindowCliff:
+    def test_irregular_search_at_bound_2000_stays_small(self):
+        # a dense window matrix took 12.5 s and 122 MB at bound 800
+        elapsed, rss_mb = run_child(_IRREGULAR_SETUP, _IRREGULAR_WORK, 2000, timeout=30)
+        assert elapsed < 2, elapsed
+        assert rss_mb < 100, rss_mb
