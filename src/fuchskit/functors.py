@@ -40,13 +40,13 @@ from .linalg import (
     rational_roots,
 )
 from .ratio import Rat
-from .scalar import Cyclotomic, ExponentClass, gamma, gamma_inverse
+from .scalar import Cyclotomic, ExponentClass, _common_numerators, _normal, gamma, gamma_inverse
 from .sigmamod import SigmaModule, hom_dim
 
 DEFAULT_DEGREE_BOUND = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstantForm:
     """gauge H and constant matrix C with partial(H)H^-1 + H G H^-1 = C."""
 
@@ -126,19 +126,41 @@ def _operator_powers(g):
 def _window_images(powers, search_class, bound):
     """T^n(t^d e_i) for d in [-bound, bound] (d outer, i inner) as maps
     (degree, j) -> nonzero coefficient, from powers[i][k] = T_0^k(e_i) by the
-    shift identity (see _row_solution_chains)."""
+    shift identity (see _row_solution_chains) in integers.  With a = p0/q, the
+    coefficients of t^e in the j-th entries of the T_0^k(e_i) are put once at
+    the lcm M of their labels over one denominator D, times C(n,k) q^k, and
+    Horner's rule at p = p0 + d q gives the image's coefficient of t^(e+d)
+    over D q^n, one coordinate at a time."""
     n = len(powers)
+    p0, q = search_class.value.numerator, search_class.value.denominator
+    weights = [comb(n, k) * q**k for k in range(n + 1)]
+    groups = []  # per seed: (e, j, M, per coordinate the Horner coefficients, D q^n)
+    for seq in powers:
+        by_key = {}
+        for k, row in enumerate(seq):
+            for j, f in enumerate(row):
+                for e, c in f.terms.items():
+                    by_key.setdefault((e, j), [Cyclotomic.zero()] * (n + 1))[k] = c
+        groups.append([])
+        for (e, j), cs in by_key.items():
+            m, den, nums = _common_numerators(cs)
+            coords = [[w * x for w, x in zip(weights, col)] for col in zip(*nums)]
+            groups[-1].append((e, j, m, coords, den * q**n))
     images = []
     for d in range(-bound, bound + 1):
-        scales = [Cyclotomic.from_rat(comb(n, k) * (search_class.value + d) ** (n - k)) for k in range(n + 1)]
-        for seq in powers:
+        p = p0 + d * q
+        for group in groups:
             img = {}
-            for scale, row in zip(scales, seq):
-                for j, f in enumerate(row):
-                    for e, c in f.terms.items():
-                        prev = img.get((e + d, j))
-                        img[e + d, j] = c * scale if prev is None else prev + c * scale
-            images.append({key: c for key, c in img.items() if not c.is_zero})
+            for e, j, m, coords, den in group:
+                num = []
+                for bs in coords:
+                    acc = 0
+                    for b in bs:
+                        acc = acc * p + b
+                    num.append(acc)
+                if any(num):
+                    img[e + d, j] = _normal(m, num, den)
+            images.append(img)
     return images
 
 
@@ -148,8 +170,8 @@ def _row_solution_chains(g, search_class, bound, powers):
 
     T = partial + a + G satisfies T(t^d w) = t^d (T + d)(w) and T = T_0 + a,
     so the image of a unit seed is T^n(t^d e_i) =
-    t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i), summed over k in increasing
-    order; powers holds the T_0^k(e_i), shared by every search class.
+    t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i), evaluated by Horner's rule in
+    integers; powers holds the T_0^k(e_i), shared by every search class.
 
     The seeds w_0 are the kernel of the images, in seed order, by
     column_kernel: the canonical basis (the identity on the columns that
@@ -265,7 +287,16 @@ def find_constant_form(
 
     This is a semi-decision procedure: NotRegularWithinBounds means absence
     within the bounds, not a proof of irregularity.
+
+    A result is kept on the module (slot _forms) under the candidate set and
+    the bound; a miss is not kept, so it searches and raises again.
     """
+    key = (None if exponent_candidates is None else frozenset(map(ExponentClass, exponent_candidates)),
+           laurent_degree_bound)
+    if not hasattr(module, "_forms"):
+        object.__setattr__(module, "_forms", {})
+    if key in module._forms:
+        return module._forms[key]
     n = module.dim
     sections, candidates = _section_search(module, module.matrix, exponent_candidates, laurent_degree_bound)
     if len(sections) < n:
@@ -294,7 +325,7 @@ def find_constant_form(
         raise AssertionError("constant form verification failed; this is a bug")
     if not _horizontal_is_invertible(h):
         raise AssertionError("reconstructed gauge is not invertible over A")
-    return ConstantForm(gauge=h, constant=c)
+    return module._forms.setdefault(key, ConstantForm(gauge=h, constant=c))
 
 
 def ensure_constant_form(module, **opts):

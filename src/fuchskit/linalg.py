@@ -21,6 +21,7 @@ from .errors import DivisionByZero, EigenvalueNotFound, NonSquare
 from .ratio import Rat, is_int
 from .scalar import (
     Cyclotomic,
+    _common_numerators,
     _poly_xgcd,
     _prime_root,
     divisors,
@@ -435,9 +436,7 @@ def _rational_part(p):
     of the gcd.  The p_i are read as integers, scaled by the common
     denominator of the coefficients of p, which changes no divisor.
     """
-    n = lcm(*(c.n for c in p))
-    den = lcm(*(c._den for c in p))
-    vecs = [[x * (den // c._den) for x in c._embed_num(n)] for c in p]
+    _, _, vecs = _common_numerators(p)
     parts = [q for q in zip(*vecs) if any(q)]
     g = parts[0]
     for q in parts[1:]:

@@ -227,6 +227,13 @@ def _normal(n, num, den):
     return _make(n, tuple(num), den)
 
 
+def _common_numerators(values):
+    """The lcm N of the labels of values, the lcm D of their denominators,
+    and the integer numerators of each value at label N over D."""
+    n, den = lcm(*(c._n for c in values)), lcm(*(c._den for c in values))
+    return n, den, [[x * (den // c._den) for x in c._embed_num(n)] for c in values]
+
+
 def _rat(num, den):
     """The rational num / den, den > 0, as a Cyclotomic of conductor 1."""
     if den != 1:

@@ -2,16 +2,19 @@
 
 The images T_a^n(t^d e_i) of the unit seeds come from the shift identity
 T_a^n(t^d e_i) = t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i); they are compared
-here with a direct n-fold application of T_a.  Their kernel is taken by the
-sparse linalg.column_kernel; the chains are compared, value and conductor
-label, with those of the dense path it replaced (a dense matrix of the images
-and Matrix.nullspace, kept here as the oracle), and a child process checks
-that an irregular search over a wide window stays fast and small.  The
-gauge checks of find_constant_form and fuchs_decomposition use
-partial(H) + H G = C H in place of base_change, which is compared with
-base_change itself.
+here, value and conductor label, with a direct n-fold application of T_a.
+Their kernel is taken by the sparse linalg.column_kernel; the chains are
+compared, value and conductor label, with those of the dense path it
+replaced (a dense matrix of the images and Matrix.nullspace, kept here as
+the oracle), and a child process checks that an irregular search over a
+wide window stays fast and small.  find_constant_form keeps its result on
+the module, so the functors on one module make one search; misses and equal
+but distinct modules search again.  The gauge checks of find_constant_form
+and fuchs_decomposition use partial(H) + H G = C H in place of base_change,
+which is compared with base_change itself.
 """
 
+import dataclasses
 import hashlib
 import random
 
@@ -21,15 +24,19 @@ from conftest import run_child
 
 from fuchskit import diffmod, functors, linalg
 from fuchskit.diffmod import DiffModule, base_change, laurent_matrix
+from fuchskit.errors import NotFoundWithinBounds, NotRegularWithinBounds
 from fuchskit.functors import (
     _apply_row_operator,
     _gauge_gives,
     _operator_powers,
     _row_solution_chains,
     _window_images,
+    exponents,
     find_constant_form,
     fuchs_decomposition,
     horizontal_sections,
+    mon,
+    mon_hom_compare,
 )
 from fuchskit.generate import Sizes, rand_shearing_gauge
 from fuchskit.laurent import LaurentPoly
@@ -41,9 +48,13 @@ Z12 = Cyclotomic.root_of_unity(12)
 
 
 def rand_coefficient(rng, conductor_12):
-    """A rational, or a value of Q(zeta_12) with every coordinate drawn."""
+    """A rational, or a value of Q(zeta_12) with every coordinate drawn, or
+    for conductor_12 == "mixed" a rational or a value of Q(zeta_3) or Q(i)."""
     if not conductor_12:
         return Cyclotomic.from_rat(Rat(rng.randint(-3, 3), rng.randint(1, 4)))
+    if conductor_12 == "mixed":
+        n = rng.choice([1, 3, 4])
+        return Cyclotomic(n, [Rat(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(1 if n == 1 else 2)])
     return Cyclotomic(12, [Rat(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(4)])
 
 
@@ -73,9 +84,21 @@ def direct_image(g, a, d, i):
     return {(e, j): c for j, f in enumerate(row) for e, c in f.terms.items()}
 
 
+def assert_same_image(image, expected, mixed):
+    """Equal keys and values, and equal conductor labels.  With Q(zeta_3) and
+    Q(i) entries mixed, the two computations make different operations, so a
+    value of a subfield may be carried at the compositum's label 12 by one of
+    them (the rule of test_column_kernel); a rational is at label 1 in both."""
+    assert image.keys() == expected.keys()
+    for key, c in image.items():
+        e = expected[key]
+        assert not c.is_zero and c == e, (key, c, e)
+        assert c.n == e.n or (mixed and {c.n, e.n} in ({3, 12}, {4, 12})), (key, c.n, e.n)
+
+
 class TestShiftIdentity:
-    @pytest.mark.parametrize("conductor_12", [False, True], ids=["rational", "conductor12"])
-    @pytest.mark.parametrize("a", [Rat(0), Rat(1, 2), Rat(5, 12)], ids=["0", "1/2", "5/12"])
+    @pytest.mark.parametrize("conductor_12", [False, True, "mixed"], ids=["rational", "conductor12", "mixed3and4"])
+    @pytest.mark.parametrize("a", [Rat(0), Rat(1, 2), Rat(5, 12), Rat(7, 1009)], ids=["0", "1/2", "5/12", "7/1009"])
     def test_images_match_direct_application(self, conductor_12, a):
         rng = random.Random(f"window-images:{conductor_12}:{a}")
         bound = 2
@@ -85,8 +108,19 @@ class TestShiftIdentity:
             assert len(images) == (2 * bound + 1) * dim
             seeds = [(d, i) for d in range(-bound, bound + 1) for i in range(dim)]
             for image, (d, i) in zip(images, seeds):
-                assert image == direct_image(g, a, d, i)
-                assert all(not c.is_zero for c in image.values())
+                assert_same_image(image, direct_image(g, a, d, i), conductor_12 == "mixed")
+
+    @pytest.mark.parametrize("conductor_12", [False, True, "mixed"], ids=["rational", "conductor12", "mixed3and4"])
+    def test_zero_shift_keeps_only_the_top_power(self, conductor_12):
+        # class 0 at d = 0: a + d = 0, so the image of e_i is T_0^n(e_i) alone
+        rng = random.Random(f"window-images-p0:{conductor_12}")
+        for dim in (1, 2, 3):
+            g = rand_connection(rng, dim, conductor_12)
+            powers = _operator_powers(g)
+            images = _window_images(powers, ExponentClass(0), 0)
+            for image, seq in zip(images, powers):
+                top = {(e, j): c for j, f in enumerate(seq[-1]) for e, c in f.terms.items()}
+                assert_same_image(image, top, conductor_12 == "mixed")
 
 
 def counted_search(monkeypatch):
@@ -188,6 +222,76 @@ class TestInverseFreeCheck:
         monkeypatch.undo()
         assert base_change(m, cf.gauge).matrix == cf.constant.map(LaurentPoly.from_scalar)
         assert base_change(m, fd.gauge).matrix == fd.triangular.map(LaurentPoly.from_scalar)
+
+
+def counted_section_searches(monkeypatch):
+    """Record the arguments of every _section_search call."""
+    calls = []
+    search = functors._section_search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(functors, "_section_search", counted)
+    return calls
+
+
+class TestOneSearchPerModule:
+    OPTS = {"exponent_candidates": [Rat(1, 2), Rat(1, 3)], "laurent_degree_bound": 4}
+
+    def test_functors_share_one_search(self, monkeypatch):
+        m = sheared_module()
+        calls = counted_section_searches(monkeypatch)
+        cf = find_constant_form(m, **self.OPTS)
+        fd = fuchs_decomposition(m, **self.OPTS)
+        e = exponents(m, **self.OPTS)
+        v = mon(m, **self.OPTS)
+        report = mon_hom_compare(m, m, **self.OPTS)
+        assert len(calls) == 1
+        assert find_constant_form(m, **self.OPTS) is cf
+        # the same candidates in another order, repeated, give the same search
+        assert find_constant_form(m, exponent_candidates=[Rat(4, 3), Rat(1, 2), Rat(1, 3)], laurent_degree_bound=4) is cf
+        assert len(calls) == 1
+        assert e == fd.exponent_multiset and v.dim == 3 and report["ok"]
+
+    def test_bound_and_candidates_are_part_of_the_key(self, monkeypatch):
+        m = sheared_module()
+        calls = counted_section_searches(monkeypatch)
+        cf = find_constant_form(m, **self.OPTS)
+        wider = find_constant_form(m, exponent_candidates=[Rat(1, 2), Rat(1, 3)], laurent_degree_bound=5)
+        more = find_constant_form(m, exponent_candidates=[Rat(1, 2), Rat(1, 3), Rat(0)], laurent_degree_bound=4)
+        assert len(calls) == 3
+        assert wider.constant == cf.constant == more.constant
+
+    def test_misses_are_not_kept(self, monkeypatch):
+        m = sheared_module()
+        calls = counted_section_searches(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NotFoundWithinBounds):
+                find_constant_form(m, exponent_candidates=[Rat(1, 2)], laurent_degree_bound=4)
+        for _ in range(2):
+            with pytest.raises(NotRegularWithinBounds):
+                mon(m, exponent_candidates=[Rat(1, 2), Rat(1, 3)], laurent_degree_bound=0)
+        assert len(calls) == 4
+
+    def test_an_equal_module_searches_afresh(self, monkeypatch):
+        m, twin = sheared_module(), sheared_module()
+        calls = counted_section_searches(monkeypatch)
+        cf = find_constant_form(m, **self.OPTS)
+        assert m == twin and m is not twin
+        assert find_constant_form(twin, **self.OPTS) is not cf
+        assert len(calls) == 2
+
+    def test_module_and_form_stay_immutable(self):
+        m = sheared_module()
+        cf = find_constant_form(m, **self.OPTS)
+        assert m == sheared_module() and sheared_module() == m
+        for name in ("matrix", "twist", "_forms"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cf.constant = None
 
 
 def dense_chains(g, search_class, bound, powers):
