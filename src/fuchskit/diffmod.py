@@ -74,11 +74,10 @@ class DiffModule:
 
     twist is None for the standard derivation t*d/dt; after twisting it
     records the unit h with derivation h * t*d/dt.  Operations refuse to mix
-    modules over different derivations.  The private slot _forms, made on first
-    use, keeps the results of functors.find_constant_form; == ignores it.
+    modules over different derivations.
     """
 
-    __slots__ = ("matrix", "twist", "_forms")
+    __slots__ = ("matrix", "twist")
     __hash__ = None
 
     def __init__(self, matrix, twist=None):

@@ -46,7 +46,7 @@ from .sigmamod import SigmaModule, hom_dim
 DEFAULT_DEGREE_BOUND = 8
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConstantForm:
     """gauge H and constant matrix C with partial(H)H^-1 + H G H^-1 = C."""
 
@@ -287,16 +287,7 @@ def find_constant_form(
 
     This is a semi-decision procedure: NotRegularWithinBounds means absence
     within the bounds, not a proof of irregularity.
-
-    A result is kept on the module (slot _forms) under the candidate set and
-    the bound; a miss is not kept, so it searches and raises again.
     """
-    key = (None if exponent_candidates is None else frozenset(map(ExponentClass, exponent_candidates)),
-           laurent_degree_bound)
-    if not hasattr(module, "_forms"):
-        object.__setattr__(module, "_forms", {})
-    if key in module._forms:
-        return module._forms[key]
     n = module.dim
     sections, candidates = _section_search(module, module.matrix, exponent_candidates, laurent_degree_bound)
     if len(sections) < n:
@@ -325,7 +316,7 @@ def find_constant_form(
         raise AssertionError("constant form verification failed; this is a bug")
     if not _horizontal_is_invertible(h):
         raise AssertionError("reconstructed gauge is not invertible over A")
-    return module._forms.setdefault(key, ConstantForm(gauge=h, constant=c))
+    return ConstantForm(gauge=h, constant=c)
 
 
 def ensure_constant_form(module, **opts):

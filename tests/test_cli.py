@@ -343,7 +343,45 @@ PINNED_OUTPUT = {
     ),
 }
 
-
+# A sheared 3-dimensional module over Q(zeta_3) and Q(i): J(1/6, 2) + (0),
+# with a zeta_3 and an i above the diagonal, gauged by one with zeta_3 t and
+# i t^-1 entries.  G mixes coefficients of conductors 3, 4 and 12, and the
+# search classes are 0 and 1/6.  The expected stdout was recorded before the
+# window images were evaluated by Horner's rule in integers.
+PINNED_MIXED_INPUT = (
+    '{"derivation":"t d/dt","dim":3,"matrix":[[{"0":{"coeffs":["-1","0","1","0"],"conductor":12}},'
+    '{"0":{"coeffs":["0","1"],"conductor":3},"1":{"coeffs":["-7/6","1","13/6","0"],"conductor":12}},'
+    '{"1":{"coeffs":["0","-1","0","0"],"conductor":12}}],[{"-1":{"coeffs":["1"],"conductor":1}},'
+    '{"0":{"coeffs":["7/6","0","-1","-1"],"conductor":12}},{"0":{"coeffs":["0","1"],"conductor":4}}],'
+    '[{"-1":{"coeffs":["1","-7/6"],"conductor":4}},{"-1":{"coeffs":["0","-1","0","0"],"conductor":12},'
+    '"0":{"coeffs":["1","-7/6","-1","-1"],"conductor":12}},{"0":{"coeffs":["1/6","1"],"conductor":4}}]]}'
+)
+PINNED_MIXED_OUTPUT = {
+    "constant-form": (
+        '{"constant":[[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["0"],'
+        '"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["1/6"],"conductor":1},{"coeffs":["1"],'
+        '"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["1/6"],'
+        '"conductor":1}]],"gauge":[[{"-1":{"coeffs":["-36"],"conductor":1},"0":{"coeffs":["0","0","1","0"],'
+        '"conductor":12}},{"0":{"coeffs":["-30","0","36","36"],"conductor":12},"1":{"coeffs":["1"],'
+        '"conductor":1}},{"0":{"coeffs":["0","0","0","-36"],"conductor":12}}],[{"-1":{"coeffs":["1","-2","1",'
+        '"0"],"conductor":12}},{},{"0":{"coeffs":["2","-1","-2","2"],"conductor":12}}],[{"-1":{"coeffs":["0",'
+        '"1","-1","0"],"conductor":12}},{"0":{"coeffs":["0","-1"],"conductor":6}},{"0":{"coeffs":["-1","1",'
+        '"1","-1"],"conductor":12}}]]}'
+    ),
+    "fuchs": (
+        '{"exponents":["0","1/6","1/6"],"factors":[{"coeffs":["0"],"conductor":1},{"coeffs":["1/6"],'
+        '"conductor":1},{"coeffs":["1/6"],"conductor":1}],"gauge":[[{"-1":{"coeffs":["-36"],"conductor":1},'
+        '"0":{"coeffs":["0","0","1","0"],"conductor":12}},{"0":{"coeffs":["-30","0","36","36"],'
+        '"conductor":12},"1":{"coeffs":["1"],"conductor":1}},{"0":{"coeffs":["0","0","0","-36"],'
+        '"conductor":12}}],[{"-1":{"coeffs":["1","-2","1","0"],"conductor":12}},{},{"0":{"coeffs":["2","-1",'
+        '"-2","2"],"conductor":12}}],[{"-1":{"coeffs":["0","1","-1","0"],"conductor":12}},'
+        '{"0":{"coeffs":["0","-1"],"conductor":6}},{"0":{"coeffs":["-1","1","1","-1"],"conductor":12}}]],'
+        '"triangular":[[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["0"],'
+        '"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["1/6"],"conductor":1},{"coeffs":["1"],'
+        '"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["1/6"],'
+        '"conductor":1}]]}'
+    ),
+}
 
 
 class TestPinnedConductor12:
@@ -359,3 +397,11 @@ class TestPinnedConductor12:
         # the CLI prints json.dumps(doc, indent=2, sort_keys=True), which
         # these compact documents render to byte for byte
         assert out == json.dumps(json.loads(PINNED_OUTPUT[command]), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", ["constant-form", "fuchs"])
+    def test_mixed_conductor_bytes(self, capsys, command):
+        code, out = run_cli(
+            capsys, command, "--json", PINNED_MIXED_INPUT, "--exponent-candidates", "0,1/6", "--degree-bound", "3"
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(PINNED_MIXED_OUTPUT[command]), indent=2, sort_keys=True) + "\n"

@@ -7,14 +7,11 @@ Their kernel is taken by the sparse linalg.column_kernel; the chains are
 compared, value and conductor label, with those of the dense path it
 replaced (a dense matrix of the images and Matrix.nullspace, kept here as
 the oracle), and a child process checks that an irregular search over a
-wide window stays fast and small.  find_constant_form keeps its result on
-the module, so the functors on one module make one search; misses and equal
-but distinct modules search again.  The gauge checks of find_constant_form
+wide window stays fast and small.  The gauge checks of find_constant_form
 and fuchs_decomposition use partial(H) + H G = C H in place of base_change,
 which is compared with base_change itself.
 """
 
-import dataclasses
 import hashlib
 import random
 
@@ -24,19 +21,15 @@ from conftest import run_child
 
 from fuchskit import diffmod, functors, linalg
 from fuchskit.diffmod import DiffModule, base_change, laurent_matrix
-from fuchskit.errors import NotFoundWithinBounds, NotRegularWithinBounds
 from fuchskit.functors import (
     _apply_row_operator,
     _gauge_gives,
     _operator_powers,
     _row_solution_chains,
     _window_images,
-    exponents,
     find_constant_form,
     fuchs_decomposition,
     horizontal_sections,
-    mon,
-    mon_hom_compare,
 )
 from fuchskit.generate import Sizes, rand_shearing_gauge
 from fuchskit.laurent import LaurentPoly
@@ -222,76 +215,6 @@ class TestInverseFreeCheck:
         monkeypatch.undo()
         assert base_change(m, cf.gauge).matrix == cf.constant.map(LaurentPoly.from_scalar)
         assert base_change(m, fd.gauge).matrix == fd.triangular.map(LaurentPoly.from_scalar)
-
-
-def counted_section_searches(monkeypatch):
-    """Record the arguments of every _section_search call."""
-    calls = []
-    search = functors._section_search
-
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(functors, "_section_search", counted)
-    return calls
-
-
-class TestOneSearchPerModule:
-    OPTS = {"exponent_candidates": [Rat(1, 2), Rat(1, 3)], "laurent_degree_bound": 4}
-
-    def test_functors_share_one_search(self, monkeypatch):
-        m = sheared_module()
-        calls = counted_section_searches(monkeypatch)
-        cf = find_constant_form(m, **self.OPTS)
-        fd = fuchs_decomposition(m, **self.OPTS)
-        e = exponents(m, **self.OPTS)
-        v = mon(m, **self.OPTS)
-        report = mon_hom_compare(m, m, **self.OPTS)
-        assert len(calls) == 1
-        assert find_constant_form(m, **self.OPTS) is cf
-        # the same candidates in another order, repeated, give the same search
-        assert find_constant_form(m, exponent_candidates=[Rat(4, 3), Rat(1, 2), Rat(1, 3)], laurent_degree_bound=4) is cf
-        assert len(calls) == 1
-        assert e == fd.exponent_multiset and v.dim == 3 and report["ok"]
-
-    def test_bound_and_candidates_are_part_of_the_key(self, monkeypatch):
-        m = sheared_module()
-        calls = counted_section_searches(monkeypatch)
-        cf = find_constant_form(m, **self.OPTS)
-        wider = find_constant_form(m, exponent_candidates=[Rat(1, 2), Rat(1, 3)], laurent_degree_bound=5)
-        more = find_constant_form(m, exponent_candidates=[Rat(1, 2), Rat(1, 3), Rat(0)], laurent_degree_bound=4)
-        assert len(calls) == 3
-        assert wider.constant == cf.constant == more.constant
-
-    def test_misses_are_not_kept(self, monkeypatch):
-        m = sheared_module()
-        calls = counted_section_searches(monkeypatch)
-        for _ in range(2):
-            with pytest.raises(NotFoundWithinBounds):
-                find_constant_form(m, exponent_candidates=[Rat(1, 2)], laurent_degree_bound=4)
-        for _ in range(2):
-            with pytest.raises(NotRegularWithinBounds):
-                mon(m, exponent_candidates=[Rat(1, 2), Rat(1, 3)], laurent_degree_bound=0)
-        assert len(calls) == 4
-
-    def test_an_equal_module_searches_afresh(self, monkeypatch):
-        m, twin = sheared_module(), sheared_module()
-        calls = counted_section_searches(monkeypatch)
-        cf = find_constant_form(m, **self.OPTS)
-        assert m == twin and m is not twin
-        assert find_constant_form(twin, **self.OPTS) is not cf
-        assert len(calls) == 2
-
-    def test_module_and_form_stay_immutable(self):
-        m = sheared_module()
-        cf = find_constant_form(m, **self.OPTS)
-        assert m == sheared_module() and sheared_module() == m
-        for name in ("matrix", "twist", "_forms"):
-            with pytest.raises(AttributeError):
-                setattr(m, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cf.constant = None
 
 
 def dense_chains(g, search_class, bound, powers):
