@@ -285,8 +285,9 @@ def match_right_factor(u, v):
     """The constant matrix R with V = U * R (columns of V in the span of the
     columns of U over K); raises if no exact unique solution exists.
 
-    One rref of the coordinates of [U | V]: R is unique exactly when the
-    pivots are the columns of U, and it is then the top right block."""
+    One rref (one column_kernel) of the coordinates of [U | V]: R is unique
+    exactly when the pivots are the columns of U, and it is then the top
+    right block."""
     coords = _expring_coordinates(u.columns() + v.columns())
     red, pivots = Matrix.from_columns(coords).rref()
     if pivots != tuple(range(u.cols)):

@@ -176,10 +176,10 @@ def _row_solution_chains(g, search_class, bound, powers):
     The seeds w_0 are the kernel of the images, in seed order, by
     column_kernel: the canonical basis (the identity on the columns that
     depend on earlier ones) depends only on the kernel and that order, so it
-    is the basis a dense nullspace gives.  An image has degrees in
-    [d + n lo, d + n hi] for G of degrees [lo, hi]; keyed by (degree, j), the
-    images form a band, and the search costs time linear in the window
-    times the band."""
+    is the basis Matrix.nullspace gives for the matrix of the images.  An
+    image has degrees in [d + n lo, d + n hi] for G of degrees [lo, hi];
+    keyed by (degree, j), the images form a band, and the search costs time
+    linear in the window times the band."""
     if bound < 0:
         return []  # an empty window holds no seeds
     n = g.rows

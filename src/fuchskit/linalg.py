@@ -1,10 +1,10 @@
-"""Exact linear algebra over the cyclotomic scalars: dense matrices, and a
-sparse kernel for long banded column sets (column_kernel).
+"""Exact linear algebra over the cyclotomic scalars: dense matrices, and
+column_kernel, the one exact elimination.
 
 Matrix is generic over any commutative ring element type exposing zero()/
-one() classmethods and the usual operators; field algorithms (rref,
-inverse, Jordan form) additionally need .inverse() on entries, which
-Cyclotomic provides.
+one() classmethods and the usual operators.  Its field algorithms need
+Cyclotomic entries: nullspace is column_kernel of the columns, and rref
+(so rank and inverse) reads the reduced form off that kernel basis.
 
 The eigenvalue finder is deliberately restricted to Q union the roots of
 unity: that is exactly the eigenvalue set reachable through gamma on
@@ -113,11 +113,7 @@ class Matrix:
         )
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
+        return self + (-other)
 
     def __neg__(self):
         return self.map(lambda x: -x)
@@ -163,59 +159,28 @@ class Matrix:
     def __repr__(self):
         return "Matrix(" + "; ".join(", ".join(repr(x) for x in row) for row in self.data) + ")"
 
-    # -- field algorithms (entries need .inverse()) -------------------------
+    # -- field algorithms (Cyclotomic entries) --------------------------------
 
     def rref(self):
-        """Reduced row echelon form; pivots on the lowest column index.
-        Rows are treated sparsely (zero entries of the pivot row are skipped)."""
-        m = [list(row) for row in self.data]
-        one = self.ring.one()
-        pivots = []
-        pr = 0
-        for col in range(self.cols):
-            pivot_row = None
-            for r in range(pr, self.rows):
-                if not m[r][col].is_zero:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = m[pr][col].inverse()
-            prow = [one if j == col else x if x.is_zero else x * inv for j, x in enumerate(m[pr])]
-            m[pr] = prow
-            support = [j for j, x in enumerate(prow) if not x.is_zero]
-            for r in range(self.rows):
-                if r != pr and not m[r][col].is_zero:
-                    factor = m[r][col]
-                    row = m[r]
-                    for j in support:
-                        row[j] = row[j] - factor * prow[j]
-            pivots.append(col)
-            pr += 1
-            if pr == self.rows:
-                break
-        return Matrix(m), tuple(pivots)
+        """Reduced row echelon form and its pivot columns, read off the
+        kernel basis of nullspace: a free column is one with a kernel vector
+        (whose last nonzero entry, at that column, is a 1), the pivots are
+        the other columns, and row r holds at a free column f minus the
+        coordinate of pivot r in the vector of f."""
+        zero, one = self.ring.zero(), self.ring.one()
+        free = {max(j for j, x in enumerate(vec) if not x.is_zero): vec for vec in self.nullspace()}
+        pivots = tuple(j for j in range(self.cols) if j not in free)
+        rows = [[one if j == p else -free[j][p] if j in free else zero for j in range(self.cols)] for p in pivots]
+        rows += [[zero] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix(rows), pivots
 
     def rank(self):
         return len(self.rref()[1])
 
     def nullspace(self):
-        """Deterministic kernel basis: one vector per free column, ascending,
-        with a 1 in the free coordinate."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        zero, one = self.ring.zero(), self.ring.one()
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = [zero] * self.cols
-            vec[free] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red.data[r][free]
-            basis.append(vec)
-        return basis
+        """Deterministic kernel basis: column_kernel of the columns, one
+        vector per free column, ascending, with a 1 in the free coordinate."""
+        return column_kernel([{i: x for i, x in enumerate(col) if not x.is_zero} for col in self.columns()])
 
     def inverse(self):
         if not self.is_square:
@@ -232,15 +197,17 @@ class Matrix:
 
 
 def column_kernel(columns):
-    """The kernel basis Matrix.from_columns(columns).nullspace() would give,
-    by sparse elimination: columns are dicts from row keys (any sortable
-    values) to entries, and a key missing from a column is a zero entry.
+    """The canonical kernel basis of the columns, by sparse elimination: the
+    library's one row reduction, behind Matrix.nullspace, rref, rank and
+    inverse and the window search.  Columns are dicts from row keys (any
+    sortable values) to Cyclotomic entries, and a key missing from a column
+    is a zero entry.
 
-    nullspace returns the one basis that is the identity on the free
-    columns, and the free columns are those in the span of the earlier ones,
-    so the basis depends only on the kernel and the column order: the vector
-    of a free column f is e_f minus the coordinates of column f in the pivot
-    columns before it, which this computes in two passes.
+    The basis is the one that is the identity on the free columns, and the
+    free columns are those in the span of the earlier ones, so it depends
+    only on the kernel and the column order: the vector of a free column f
+    is e_f minus the coordinates of column f in the pivot columns before it,
+    which this computes in two passes.
 
     Pass 1, a sparse LU in column order: each column is reduced against the
     earlier pivot columns in increasing key order (a heap), and one that does
@@ -644,7 +611,7 @@ def _jordan_elimination(m):
     down, are the vectors of the ker E^s basis, in basis order, that are
     independent of ker E^(s-1) and of the chains already built: the pivot
     columns of one rref.  A top v contributes the columns E^(s-1) v, ...,
-    E v, v.
+    E v, v.  Each kernel and each rref is one column_kernel.
     """
     ident = Matrix.identity(m.rows)
     blocks = []

@@ -17,6 +17,7 @@ from fuchskit.ratio import Rat
 from fuchskit.scalar import Cyclotomic, ExponentClass
 from fuchskit.laurent import LaurentPoly
 from fuchskit.expring import ExpRingElem, GroupAlgElem
+from fuchskit.linalg import Matrix
 
 
 def embed_complex(c):
@@ -29,6 +30,115 @@ def embed_complex(c):
 
 def assert_close(a, b, tol=1e-9):
     assert abs(a - b) < tol, (a, b)
+
+
+# -- the dense elimination oracle ----------------------------------------------
+
+
+def dense_rref(self):
+    """Reduced row echelon form by dense Gauss-Jordan elimination; pivots on
+    the lowest column index.  This is the elimination Matrix.rref ran before
+    it read its result off linalg.column_kernel, kept verbatim (a method
+    body, so that a test can also patch it onto Matrix) as the independent
+    oracle of column_kernel and of every consumer of rref."""
+    m = [list(row) for row in self.data]
+    one = self.ring.one()
+    pivots = []
+    pr = 0
+    for col in range(self.cols):
+        pivot_row = None
+        for r in range(pr, self.rows):
+            if not m[r][col].is_zero:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = m[pr][col].inverse()
+        prow = [one if j == col else x if x.is_zero else x * inv for j, x in enumerate(m[pr])]
+        m[pr] = prow
+        support = [j for j, x in enumerate(prow) if not x.is_zero]
+        for r in range(self.rows):
+            if r != pr and not m[r][col].is_zero:
+                factor = m[r][col]
+                row = m[r]
+                for j in support:
+                    row[j] = row[j] - factor * prow[j]
+        pivots.append(col)
+        pr += 1
+        if pr == self.rows:
+            break
+    return Matrix(m), tuple(pivots)
+
+
+def dense_nullspace(self):
+    """The kernel basis read off dense_rref: one vector per free column,
+    ascending, with a 1 in the free coordinate."""
+    red, pivots = dense_rref(self)
+    pivot_set = set(pivots)
+    zero, one = self.ring.zero(), self.ring.one()
+    basis = []
+    for free in range(self.cols):
+        if free in pivot_set:
+            continue
+        vec = [zero] * self.cols
+        vec[free] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red.data[r][free]
+        basis.append(vec)
+    return basis
+
+
+KINDS = ["rational", "conductor12", "mixed3and4"]
+
+
+def rand_entry(rng, kind):
+    """An entry of the given kind, now and then zero."""
+    rat = lambda: Rat(rng.randint(-3, 3), rng.randint(1, 3))  # noqa: E731
+    if kind == "rational":
+        return Cyclotomic.from_rat(rat())
+    if kind == "conductor12":
+        return Cyclotomic(12, [rat() for _ in range(4)])
+    n = rng.choice([1, 3, 4])
+    return Cyclotomic(n, [rat() for _ in range(1 if n == 1 else 2)])
+
+
+def rand_columns(rng, kind, rows, cols, density):
+    """Sparse columns over the row keys 0..rows-1; about a third of them are
+    planted combinations of up to three earlier columns, and some are zero."""
+    columns = []
+    for _ in range(cols):
+        if columns and rng.random() < 0.35:
+            col = {}
+            for base in rng.sample(columns, min(len(columns), rng.randint(1, 3))):
+                scale = rand_entry(rng, kind)
+                for key, x in base.items():
+                    col[key] = col.get(key, Cyclotomic.zero()) + scale * x
+        elif rng.random() < 0.1:
+            col = {}
+        else:
+            col = {key: rand_entry(rng, kind) for key in range(rows) if rng.random() < density}
+        columns.append({key: x for key, x in col.items() if not x.is_zero})
+    return columns
+
+
+def assert_same_basis(got, expected, same_labels=True):
+    """Equal vectors (or matrix rows) entry by entry.  With same_labels the
+    conductor labels are equal too; otherwise, on mixed conductor-3 and
+    conductor-4 input, a value of Q(zeta_3) or Q(i) may be labelled 3 or 4
+    by one elimination and 12 by the other, which brought in the other field
+    through an operation that cancelled."""
+    assert len(got) == len(expected)
+    for u, v in zip(got, expected):
+        assert len(u) == len(v)
+        for x, y in zip(u, v):
+            assert x == y
+            if same_labels:
+                assert x.n == y.n, (x, y)
+            else:
+                # rational exactly at label 1; a value of a subfield may be
+                # carried at the compositum's label
+                assert x.n == y.n or {x.n, y.n} in ({3, 12}, {4, 12}), (x, y)
 
 
 # -- hypothesis strategies ---------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from fuchskit import jsonio
 from fuchskit.cli import main
 
 
@@ -384,6 +385,68 @@ PINNED_MIXED_OUTPUT = {
 }
 
 
+# A representation and a pair of constant modules with Q(zeta_3) and Q(i)
+# entries, none in Jordan shape, so that trivialize and hom run the Jordan
+# elimination, the inverse and (for hom) the Sylvester kernel.  The monodromy
+# is J(zeta_3, 2) + (i) with an i and a 2 zeta_3 above the diagonal; the
+# constants have the exponents 3/2, 1/2, 0 and 1/2, 3/2, -2/3.  The expected
+# stdout was recorded while Matrix.rref was a dense Gauss-Jordan elimination,
+# before it and Matrix.nullspace were read off linalg.column_kernel.
+PINNED_TRIVIALIZE_INPUT = (
+    '{"dim":3,"monodromy":[[{"coeffs":["0","1"],"conductor":3},{"coeffs":["0","2"],"conductor":3},'
+    '{"coeffs":["0"],"conductor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0","1"],"conductor":4},'
+    '{"coeffs":["0"],"conductor":1}],[{"coeffs":["1"],"conductor":1},{"coeffs":["0","1"],"conductor":4},'
+    '{"coeffs":["0","1"],"conductor":3}]]}'
+)
+
+PINNED_HOM_INPUT = (
+    '{"left":{"derivation":"t d/dt","dim":3,"matrix":[[{"0":{"coeffs":["3/2"],"conductor":1}},'
+    '{"0":{"coeffs":["0","1"],"conductor":4}},{"0":{"coeffs":["3/2"],"conductor":1}}],[{},'
+    '{"0":{"coeffs":["1/2"],"conductor":1}},{"0":{"coeffs":["1","-2"],"conductor":3}}],[{},{},{}]]},'
+    '"right":{"derivation":"t d/dt","dim":3,"matrix":[[{"0":{"coeffs":["1/2"],"conductor":1}},{},{}],'
+    '[{"0":{"coeffs":["1"],"conductor":1}},{"0":{"coeffs":["3/2"],"conductor":1}},{}],'
+    '[{"0":{"coeffs":["1","-1/3"],"conductor":3}},{"0":{"coeffs":["1","1/3"],"conductor":3}},'
+    '{"0":{"coeffs":["-2/3"],"conductor":1}}]]}}'
+)
+
+PINNED_ELIMINATION_OUTPUT = {
+    "trivialize": (
+        '{"basis":[[{"ell_coeffs":[]},{"ell_coeffs":[{"2/3":{"0":{"coeffs":["0","1"],"conductor":3}}}]},'
+        '{"ell_coeffs":[{"3/4":{"0":{"coeffs":["16/61","30/61","-36/61","24/61"],"conductor":12}}}]}],'
+        '[{"ell_coeffs":[]},{"ell_coeffs":[]},{"ell_coeffs":[{"3/4":{"0":{"coeffs":["7/61","-25/61","30/61",'
+        '"-20/61"],"conductor":12}}}]}],[{"ell_coeffs":[{"2/3":{"0":{"coeffs":["1"],"conductor":1}}}]},'
+        '{"ell_coeffs":[{},{"2/3":{"0":{"coeffs":["-1"],"conductor":1}}}]},'
+        '{"ell_coeffs":[{"3/4":{"0":{"coeffs":["1"],"conductor":1}}}]}]]}'
+    ),
+    "hom": (
+        '{"basis":[[[{},{},{}],[{},{"-1":{"coeffs":["26/49","39/196"],"conductor":3}},'
+        '{"-1":{"coeffs":["13/7","-13/14"],"conductor":3}}],[{},{"-1":{"coeffs":["3/14","1/7"],'
+        '"conductor":3}},{"-1":{"coeffs":["1"],"conductor":1}}]],[[{},{"0":{"coeffs":["-3024/12913",'
+        '"-21735/25826","-36785/51652","8757/25826"],"conductor":12}},{"0":{"coeffs":["-54929/12913",'
+        '"-47691/12913","-12593/25826","52227/12913"],"conductor":12}}],[{"0":{"coeffs":["-10413/12913",'
+        '"-21684/12913","-4563/12913","-32136/12913"],"conductor":12}},{"0":{"coeffs":["56844/12913",'
+        '"30861/25826","-49951/51652","-38709/25826"],"conductor":12}},{"0":{"coeffs":["123244/12913",'
+        '"15165/12913","-168965/25826","-100431/12913"],"conductor":12}}],[{"0":{"coeffs":["-2502/12913",'
+        '"-1728/12913","-3708/12913","-18168/12913"],"conductor":12}},{"0":{"coeffs":["1"],"conductor":1}},'
+        '{}]],[[{},{"0":{"coeffs":["-4326/12913","5607/51652","7245/12913","2457/51652"],"conductor":12}},'
+        '{"0":{"coeffs":["3024/12913","21735/25826","31794/12913","-8757/25826"],"conductor":12}}],'
+        '[{"0":{"coeffs":["1287/180782","-3042/12913","34515/180782","9984/12913"],"conductor":12}},'
+        '{"0":{"coeffs":["-2616/12913","-108279/361564","-10287/12913","54405/361564"],"conductor":12}},'
+        '{"0":{"coeffs":["-292209/180782","-30861/25826","-309409/180782","38709/25826"],"conductor":12}}],'
+        '[{"0":{"coeffs":["-351/12913","-2472/12913","1152/12913","4140/12913"],"conductor":12}},{},'
+        '{"0":{"coeffs":["1"],"conductor":1}}]],[[{"1":{"coeffs":["-504/937","1953/1874","1827/3748",'
+        '"-1155/1874"],"conductor":12}},{"1":{"coeffs":["-399/937","-1827/3748","1953/1874","-189/3748"],'
+        '"conductor":12}},{"1":{"coeffs":["0","0","7/4","0"],"conductor":12}}],[{"1":{"coeffs":["504/937",'
+        '"-1953/1874","-1827/3748","1155/1874"],"conductor":12}},{"1":{"coeffs":["399/937","1827/3748",'
+        '"-1953/1874","189/3748"],"conductor":12}},{"1":{"coeffs":["0","0","-7/4","0"],"conductor":12}}],'
+        '[{"1":{"coeffs":["-27/937","228/937","288/937","-558/937"],"conductor":12}},'
+        '{"1":{"coeffs":["330/937","-288/937","228/937","261/937"],"conductor":12}},{"1":{"coeffs":["1"],'
+        '"conductor":1}}]]],"dimension":4,"mon_comparison":{"dual_exponents_match":true,"hom_dim":4,'
+        '"hom_match":true,"mon_hom_dim":4,"ok":true,"tensor_exponents_match":true}}'
+    ),
+}
+
+
 class TestPinnedConductor12:
     """Conductor labels depend on the order of additions, so these bytes
     guard every regrouping of the sums in the constant-form search."""
@@ -405,3 +468,56 @@ class TestPinnedConductor12:
         )
         assert code == 0
         assert out == json.dumps(json.loads(PINNED_MIXED_OUTPUT[command]), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", ["trivialize", "hom"])
+    def test_elimination_bytes(self, capsys, command):
+        doc = {"trivialize": PINNED_TRIVIALIZE_INPUT, "hom": PINNED_HOM_INPUT}[command]
+        code, out = run_cli(capsys, command, "--json", doc)
+        assert code == 0
+        assert out == json.dumps(json.loads(PINNED_ELIMINATION_OUTPUT[command]), indent=2, sort_keys=True) + "\n"
+
+
+# Constants of the same kind whose hom basis has an i-valued entry that the
+# dense Gauss-Jordan elimination left at label 4 and column_kernel computes
+# through a zeta_3 factor, so at label 12.  The stdout below was recorded with
+# the dense elimination.
+DRIFT_HOM_INPUT = (
+    '{"left":{"derivation":"t d/dt","dim":3,"matrix":[[{"0":{"coeffs":["1/2"],"conductor":1}},'
+    '{"0":{"coeffs":["0","-1/2"],"conductor":4}},{}],[{},{"0":{"coeffs":["1/3"],"conductor":1}},{}],'
+    '[{"0":{"coeffs":["0","1"],"conductor":3}},{"0":{"coeffs":["0","1"],"conductor":4}},'
+    '{"0":{"coeffs":["1/2"],"conductor":1}}]]},"right":{"derivation":"t d/dt","dim":3,'
+    '"matrix":[[{"0":{"coeffs":["1/2"],"conductor":1}},{"0":{"coeffs":["0","3"],"conductor":3}},{}],[{},'
+    '{"0":{"coeffs":["1/3"],"conductor":1}},{}],[{"0":{"coeffs":["0","1"],"conductor":4}},'
+    '{"0":{"coeffs":["0","1"],"conductor":3}},{"0":{"coeffs":["3/2"],"conductor":1}}]]}}'
+)
+
+DRIFT_HOM_DENSE_OUTPUT = (
+    '{"basis":[[[{},{},{}],[{},{},{}],[{"-1":{"coeffs":["0","1/3"],"conductor":4}},{"-1":{"coeffs":["1"],'
+    '"conductor":1}},{}]],[[{"0":{"coeffs":["0","1"],"conductor":4}},{"0":{"coeffs":["-159/325","0","0",'
+    '"63/325"],"conductor":12}},{}],[{},{"0":{"coeffs":["0","-7/650","-63/325","7/650"],"conductor":12}},'
+    '{}],[{"0":{"coeffs":["1"],"conductor":1}},{},{}]],[[{},{"0":{"coeffs":["21/325","0","0","378/325"],'
+    '"conductor":12}},{}],[{},{"0":{"coeffs":["0","-21/325","7/1950","21/325"],"conductor":12}},{}],[{},'
+    '{"0":{"coeffs":["1"],"conductor":1}},{}]]],"dimension":3,'
+    '"mon_comparison":{"dual_exponents_match":true,"hom_dim":3,"hom_match":true,"mon_hom_dim":3,'
+    '"ok":true,"tensor_exponents_match":true}}'
+)
+
+
+def _same_values(got, expected):
+    """Equal JSON documents up to conductor labels, which may differ only as
+    3 or 4 against 12 (the rule of test_column_kernel)."""
+    if isinstance(expected, dict) and "conductor" in expected:
+        x, y = jsonio.decode_cyclotomic(got), jsonio.decode_cyclotomic(expected)
+        return x == y and (x.n == y.n or {x.n, y.n} in ({3, 12}, {4, 12}))
+    if isinstance(expected, dict):
+        return got.keys() == expected.keys() and all(_same_values(got[k], expected[k]) for k in expected)
+    if isinstance(expected, list):
+        return len(got) == len(expected) and all(_same_values(a, b) for a, b in zip(got, expected))
+    return got == expected
+
+
+class TestMixedConductorLabels:
+    def test_hom_values_match_the_dense_elimination(self, capsys):
+        code, out = run_cli(capsys, "hom", "--json", DRIFT_HOM_INPUT)
+        assert code == 0
+        assert _same_values(json.loads(out), json.loads(DRIFT_HOM_DENSE_OUTPUT))

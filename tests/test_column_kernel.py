@@ -1,6 +1,7 @@
-"""linalg.column_kernel against the dense Matrix.nullspace it replaces.
+"""linalg.column_kernel against the dense Gauss-Jordan elimination.
 
-The dense kernel is the oracle: on seeded sparse matrices with planted
+conftest.dense_nullspace, the elimination Matrix.nullspace ran before it
+called column_kernel, is the oracle: on seeded sparse matrices with planted
 dependent columns, zero columns and zero matrices, both give the same basis
 entry by entry, and the same conductor labels whenever every non-rational
 entry has one conductor (rational and conductor-12 inputs).  With conductor-3
@@ -14,59 +15,13 @@ import random
 
 import pytest
 
+from conftest import KINDS, assert_same_basis, dense_nullspace, rand_columns, rand_entry
 from fuchskit.linalg import Matrix, column_kernel
-from fuchskit.ratio import Rat
 from fuchskit.scalar import Cyclotomic
-
-KINDS = ["rational", "conductor12", "mixed3and4"]
-
-
-def rand_entry(rng, kind):
-    """An entry of the given kind, now and then zero."""
-    rat = lambda: Rat(rng.randint(-3, 3), rng.randint(1, 3))  # noqa: E731
-    if kind == "rational":
-        return Cyclotomic.from_rat(rat())
-    if kind == "conductor12":
-        return Cyclotomic(12, [rat() for _ in range(4)])
-    n = rng.choice([1, 3, 4])
-    return Cyclotomic(n, [rat() for _ in range(1 if n == 1 else 2)])
-
-
-def rand_columns(rng, kind, rows, cols, density):
-    """Sparse columns over the row keys 0..rows-1; about a third of them are
-    planted combinations of up to three earlier columns, and some are zero."""
-    columns = []
-    for _ in range(cols):
-        if columns and rng.random() < 0.35:
-            col = {}
-            for base in rng.sample(columns, min(len(columns), rng.randint(1, 3))):
-                scale = rand_entry(rng, kind)
-                for key, x in base.items():
-                    col[key] = col.get(key, Cyclotomic.zero()) + scale * x
-        elif rng.random() < 0.1:
-            col = {}
-        else:
-            col = {key: rand_entry(rng, kind) for key in range(rows) if rng.random() < density}
-        columns.append({key: x for key, x in col.items() if not x.is_zero})
-    return columns
 
 
 def dense_kernel(columns, rows):
-    return Matrix([[col.get(key, Cyclotomic.zero()) for col in columns] for key in range(rows)]).nullspace()
-
-
-def assert_same_basis(got, expected, same_labels=True):
-    assert len(got) == len(expected)
-    for u, v in zip(got, expected):
-        assert len(u) == len(v)
-        for x, y in zip(u, v):
-            assert x == y
-            if same_labels:
-                assert x.n == y.n, (x, y)
-            else:
-                # rational exactly at label 1; a value of a subfield may be
-                # carried at the compositum's label
-                assert x.n == y.n or {x.n, y.n} in ({3, 12}, {4, 12}), (x, y)
+    return dense_nullspace(Matrix([[col.get(key, Cyclotomic.zero()) for col in columns] for key in range(rows)]))
 
 
 class TestAgainstDenseNullspace:
@@ -95,7 +50,7 @@ class TestAgainstDenseNullspace:
             columns.insert(rng.randrange(width), dict(columns[rng.randrange(width)]))
             keys = sorted(set().union(*columns))
             rows = [[col.get(key, Cyclotomic.zero()) for col in columns] for key in keys]
-            assert_same_basis(column_kernel(columns), Matrix(rows).nullspace(), same_labels=kind != "mixed3and4")
+            assert_same_basis(column_kernel(columns), dense_nullspace(Matrix(rows)), same_labels=kind != "mixed3and4")
 
     def test_row_order_does_not_matter(self):
         rng = random.Random("column-kernel-rows")

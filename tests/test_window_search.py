@@ -5,9 +5,9 @@ T_a^n(t^d e_i) = t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i); they are compared
 here, value and conductor label, with a direct n-fold application of T_a.
 Their kernel is taken by the sparse linalg.column_kernel; the chains are
 compared, value and conductor label, with those of the dense path it
-replaced (a dense matrix of the images and Matrix.nullspace, kept here as
-the oracle), and a child process checks that an irregular search over a
-wide window stays fast and small.  The gauge checks of find_constant_form
+replaced (a dense matrix of the images and the dense Gauss-Jordan
+conftest.dense_nullspace, kept as the oracle), and a child process checks
+that an irregular search over a wide window stays fast and small.  The gauge checks of find_constant_form
 and fuchs_decomposition use partial(H) + H G = C H in place of base_change,
 which is compared with base_change itself.
 """
@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from conftest import run_child
+from conftest import dense_nullspace, run_child
 
 from fuchskit import diffmod, functors, linalg
 from fuchskit.diffmod import DiffModule, base_change, laurent_matrix
@@ -220,13 +220,13 @@ class TestInverseFreeCheck:
 def dense_chains(g, search_class, bound, powers):
     """_row_solution_chains as it was before the sparse kernel: the seed
     images written into a dense matrix, one row per (coordinate, degree) key,
-    and the kernel taken by Matrix.nullspace."""
+    and the kernel taken by dense Gauss-Jordan elimination."""
     n = g.rows
     a_scalar = Cyclotomic.from_rat(search_class.value)
     images = [{(j, e): c for (e, j), c in img.items()} for img in _window_images(powers, search_class, bound)]
     keys = sorted(set().union(*images)) or [None]
     chains = []
-    for combo in Matrix([[img.get(key, Cyclotomic.zero()) for img in images] for key in keys]).nullspace():
+    for combo in dense_nullspace(Matrix([[img.get(key, Cyclotomic.zero()) for img in images] for key in keys])):
         chain = [[LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]]
         for k in range(1, n + 1):
             img = _apply_row_operator(g, a_scalar, chain[-1])
@@ -288,6 +288,7 @@ class TestAgainstDenseWindow:
         powers = _operator_powers(g)
         monkeypatch.setattr(functors, "Matrix", refuse)
         monkeypatch.setattr(linalg.Matrix, "rref", refuse)
+        monkeypatch.setattr(linalg.Matrix, "nullspace", refuse)
         assert len(_row_solution_chains(g, ExponentClass(Rat(1, 2)), 6, powers)) == 2
 
 
