@@ -8,6 +8,7 @@ error (machine-readable error object), 2 malformed input.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -194,16 +195,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = _run_command(args)
+        doc, indent, code = _run_command(args), 2, 0
     except InputError as exc:
-        print(json.dumps({"error": {"type": "InvalidInput", "message": str(exc)}}, sort_keys=True))
-        return 2
+        doc, indent, code = {"error": {"type": "InvalidInput", "message": str(exc)}}, None, 2
     except FuchsKitError as exc:
-        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        doc, indent, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2, 1
+    try:
+        print(json.dumps(doc, indent=indent, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (say `| head`): point stdout at
+        # devnull so that the flush at exit cannot raise again, and fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -6,10 +6,20 @@ the inverse dictionary.  For nonconstant matrices, find_constant_form
 searches for a full basis of horizontal sections of M (x) E_A by exact
 linear algebra on a bounded coefficient space, then reads the monodromy, the
 gauge and the constant matrix off the seeds of that basis, over A and K.
+
+The search operator T = partial + a + G, its chain steps w -> -T(w)/k and
+the gauge check partial(H) + H G = C H run on laurent.PackedMatrix: integer
+numerators over one conductor label and one denominator, unpacked to
+Laurent polynomials only in the chains handed back.  A G whose irrational
+coefficients carry two or more labels keeps the Laurent-ring operator:
+there the label of a value depends on the order of the operations that
+made it, and only that arithmetic keeps the labels the library prints.  The
+gauge check returns a boolean, so it always packs, at the lcm of every
+label.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .diffmod import (
     DiffModule,
@@ -28,7 +38,7 @@ from .errors import (
     NotRegularWithinBounds,
 )
 from .expring import ExpRingElem, GroupAlgElem
-from .laurent import LaurentPoly, kernel_partial_plus, kernel_partial_square
+from .laurent import LaurentPoly, PackedMatrix, kernel_partial_plus, kernel_partial_square
 from .linalg import (
     Matrix,
     charpoly,
@@ -100,6 +110,27 @@ def default_exponent_candidates(module):
 # bounded search for horizontal sections (row form)
 
 
+def _labels(m):
+    """The conductor labels of the coefficients of a Laurent matrix."""
+    return {c.n for row in m.data for f in row for c in f.terms.values()}
+
+
+def _search_operator(g):
+    """G for the window search: packed (laurent.PackedMatrix) when its
+    irrational coefficients carry at most one label L, so every value the
+    search makes is rational or at L and unpacks to the label the Laurent
+    arithmetic gives.  G with two or more irrational labels stays a Laurent
+    matrix: there a label depends on the order of the operations, which
+    only the Laurent arithmetic reproduces."""
+    return g if len(_labels(g) - {1}) > 1 else PackedMatrix.from_rows(g.data)
+
+
+def _apply_packed_operator(g, a, w):
+    """T(w) = (partial + a)(w) + w G on a packed row, for packed G and a
+    rational a."""
+    return w.partial_plus(a) + w * g
+
+
 def _apply_row_operator(g, a_scalar, row):
     """T(w) = (partial + a)(w) + w G on a row vector of Laurent polynomials."""
     n = len(row)
@@ -115,37 +146,58 @@ def _apply_row_operator(g, a_scalar, row):
 
 
 def _operator_powers(g):
-    """T_0^k(e_i) for k = 0..n, one list per i: n^2 applications of T_0."""
-    powers = [[[LaurentPoly.one() if j == i else LaurentPoly.zero() for j in range(g.rows)]] for i in range(g.rows)]
-    for seq in powers:
-        for _ in range(g.rows):
-            seq.append(_apply_row_operator(g, Cyclotomic.zero(), seq[-1]))
+    """The coefficients of T_0^k(e_i), k = 0..n, n^2 applications of T_0:
+    for each i the tuples (e, j, L, D, nums), nums[k] the integer numerators
+    at label L over D of the coefficient of t^e in the j-th entry of
+    T_0^k(e_i)."""
+    return (_packed_powers if isinstance(g, PackedMatrix) else _laurent_powers)(g)
+
+
+def _packed_powers(g):
+    """_operator_powers for packed G: one label, and one D per i."""
+    n, powers = g.rows, []
+    for i in range(n):
+        seq = [PackedMatrix.from_rows([[LaurentPoly.one() if j == i else LaurentPoly.zero() for j in range(n)]], g.label)]
+        for _ in range(n):
+            seq.append(_apply_packed_operator(g, 0, seq[-1]))
+        den, by_key = lcm(*(w.den for w in seq)), {}
+        for k, w in enumerate(seq):
+            for (e, _, j), x in w.nums.items():
+                by_key.setdefault((e, j), [[0] * len(x)] * (n + 1))[k] = [y * (den // w.den) for y in x]
+        powers.append([(e, j, g.label, den, nums) for (e, j), nums in by_key.items()])
     return powers
 
 
-def _window_images(powers, search_class, bound):
-    """T^n(t^d e_i) for d in [-bound, bound] (d outer, i inner) as maps
-    (degree, j) -> nonzero coefficient, from powers[i][k] = T_0^k(e_i) by the
-    shift identity (see _row_solution_chains) in integers.  With a = p0/q, the
-    coefficients of t^e in the j-th entries of the T_0^k(e_i) are put once at
-    the lcm M of their labels over one denominator D, times C(n,k) q^k, and
-    Horner's rule at p = p0 + d q gives the image's coefficient of t^(e+d)
-    over D q^n, one coordinate at a time."""
-    n = len(powers)
-    p0, q = search_class.value.numerator, search_class.value.denominator
-    weights = [comb(n, k) * q**k for k in range(n + 1)]
-    groups = []  # per seed: (e, j, M, per coordinate the Horner coefficients, D q^n)
-    for seq in powers:
+def _laurent_powers(g):
+    """_operator_powers for a Laurent G: each (e, j) at the lcm of the labels
+    its n + 1 coefficients have."""
+    n, powers = g.rows, []
+    for i in range(n):
+        seq = [[LaurentPoly.one() if j == i else LaurentPoly.zero() for j in range(n)]]
+        for _ in range(n):
+            seq.append(_apply_row_operator(g, Cyclotomic.zero(), seq[-1]))
         by_key = {}
         for k, row in enumerate(seq):
             for j, f in enumerate(row):
                 for e, c in f.terms.items():
                     by_key.setdefault((e, j), [Cyclotomic.zero()] * (n + 1))[k] = c
-        groups.append([])
-        for (e, j), cs in by_key.items():
-            m, den, nums = _common_numerators(cs)
-            coords = [[w * x for w, x in zip(weights, col)] for col in zip(*nums)]
-            groups[-1].append((e, j, m, coords, den * q**n))
+        powers.append([(e, j, *_common_numerators(cs)) for (e, j), cs in by_key.items()])
+    return powers
+
+
+def _window_images(powers, search_class, bound):
+    """T^n(t^d e_i) for d in [-bound, bound] (d outer, i inner) as maps
+    (degree, j) -> nonzero coefficient, from the coefficients of the
+    T_0^k(e_i) (see _operator_powers) by the shift identity (see
+    _row_solution_chains) in integers.  With a = p0/q, the numerators of
+    the T_0^k(e_i) are scaled by C(n,k) q^k, and Horner's rule at
+    p = p0 + d q gives the image's coefficient of t^(e+d) over D q^n, one
+    coordinate at a time."""
+    n = len(powers)
+    p0, q = search_class.value.numerator, search_class.value.denominator
+    weights = [comb(n, k) * q**k for k in range(n + 1)]
+    groups = [[(e, j, m, [[w * x for w, x in zip(weights, col)] for col in zip(*nums)], den * q**n)
+               for e, j, m, den, nums in seq] for seq in powers]
     images = []
     for d in range(-bound, bound + 1):
         p = p0 + d * q
@@ -164,9 +216,33 @@ def _window_images(powers, search_class, bound):
     return images
 
 
+def _packed_chain(g, a, seed):
+    """The chain of a seed row (see _row_solution_chains) for packed G."""
+    chain = [PackedMatrix.from_rows([seed], g.label)]
+    for k in range(1, g.rows + 1):
+        img = _apply_packed_operator(g, a, chain[-1])
+        if img.is_zero:
+            return [seed] + [w.to_rows()[0] for w in chain[1:]]
+        chain.append(img.scaled(-1, k))
+    raise AssertionError("chain does not terminate at the nilpotency bound")
+
+
+def _laurent_chain(g, a, seed):
+    """The chain of a seed row for a Laurent G."""
+    a_scalar = Cyclotomic.from_rat(a)
+    chain = [seed]
+    for k in range(1, g.rows + 1):
+        img = _apply_row_operator(g, a_scalar, chain[-1])
+        if all(f.is_zero for f in img):
+            return chain
+        chain.append([f * Cyclotomic.from_rat(Rat(-1, k)) for f in img])
+    raise AssertionError("chain does not terminate at the nilpotency bound")
+
+
 def _row_solution_chains(g, search_class, bound, powers):
     """All horizontal rows w = sum_k w_k ell^k of class a with seeds in the
     window [-bound, bound]: w_0 ranges over ker(T^n), w_{k+1} = -T(w_k)/(k+1).
+    g is the search operator (_search_operator) and the rows are Laurent.
 
     T = partial + a + G satisfies T(t^d w) = t^d (T + d)(w) and T = T_0 + a,
     so the image of a unit seed is T^n(t^d e_i) =
@@ -183,21 +259,11 @@ def _row_solution_chains(g, search_class, bound, powers):
     if bound < 0:
         return []  # an empty window holds no seeds
     n = g.rows
-    a_scalar = Cyclotomic.from_rat(search_class.value)
+    chain = _packed_chain if isinstance(g, PackedMatrix) else _laurent_chain
     chains = []
     for combo in column_kernel(_window_images(powers, search_class, bound)):
-        chain = [[LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]]
-        k = 0
-        while True:
-            img = _apply_row_operator(g, a_scalar, chain[-1])
-            if all(f.is_zero for f in img):
-                break
-            k += 1
-            if k >= n:
-                raise AssertionError("chain does not terminate at the nilpotency bound")
-            scale = Cyclotomic.from_rat(Rat(-1, k))
-            chain.append([f * scale for f in img])
-        chains.append(chain)
+        seed = [LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]
+        chains.append(chain(g, search_class.value, seed))
     return chains
 
 
@@ -212,10 +278,11 @@ def _section_search(module, g, exponent_candidates, laurent_degree_bound):
     else:
         candidates = [ExponentClass(a) for a in exponent_candidates]
     search_classes = sorted(dict.fromkeys(-a for a in candidates), key=lambda a: a.value)
-    powers = _operator_powers(g)
+    op = _search_operator(g)
+    powers = _operator_powers(op)
     sections = []
     for sc in search_classes:
-        sections.extend((sc, chain) for chain in _row_solution_chains(g, sc, laurent_degree_bound, powers))
+        sections.extend((sc, chain) for chain in _row_solution_chains(op, sc, laurent_degree_bound, powers))
     return sections, candidates
 
 
@@ -244,8 +311,13 @@ def _seed_block_inverse(lam, size):
 def _gauge_gives(module, h, c):
     """Whether the gauge H takes G to the matrix C, given that H is
     invertible: G' = (partial(H) + H G) H^-1, so G' = C exactly when
-    partial(H) + H G = C H, which needs no inverse of H."""
-    return h.map(module.derive) + h * module.matrix == c * h
+    partial(H) + H G = C H, which needs no inverse of H.  Checked on the
+    three matrices packed at the lcm of all their labels: the answer is a
+    value comparison, so no label has to be reproduced."""
+    module.require_standard_derivation()
+    label = lcm(*_labels(h), *_labels(module.matrix), *_labels(c))
+    hp, gp, cp = (PackedMatrix.from_rows(m.data, label) for m in (h, module.matrix, c))
+    return hp.partial_plus(0) + hp * gp == cp * hp
 
 
 def _horizontal_is_invertible(f):
@@ -285,8 +357,9 @@ def find_constant_form(
     G' = C is checked as partial(H) + H G = C H, and then H is certified
     invertible by the value of det H at t = 1 (see _horizontal_is_invertible).
 
-    This is a semi-decision procedure: NotRegularWithinBounds means absence
-    within the bounds, not a proof of irregularity.
+    This is a semi-decision procedure: NotFoundWithinBounds means absence
+    within the bounds, not a proof of irregularity (mon, exponents and
+    fuchs_decomposition raise it as NotRegularWithinBounds).
     """
     n = module.dim
     sections, candidates = _section_search(module, module.matrix, exponent_candidates, laurent_degree_bound)

@@ -521,3 +521,24 @@ class TestMixedConductorLabels:
         code, out = run_cli(capsys, "hom", "--json", DRIFT_HOM_INPUT)
         assert code == 0
         assert _same_values(json.loads(out), json.loads(DRIFT_HOM_DENSE_OUTPUT))
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`fuchs-kit ... | head`) gets exit
+    code 1 and no traceback, for a result and for an error document."""
+
+    @pytest.mark.parametrize("argv", [
+        ("constant-form", "--json", PINNED_INPUT, "--exponent-candidates", "1/2,5/12", "--degree-bound", "3"),
+        ("exponents", "--json", "{"),
+    ], ids=["result", "error"])
+    def test_exit_one_without_traceback(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fuchskit"].__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes anything
+        try:
+            proc = subprocess.run([sys.executable, "-m", "fuchskit.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

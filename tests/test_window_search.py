@@ -7,7 +7,10 @@ Their kernel is taken by the sparse linalg.column_kernel; the chains are
 compared, value and conductor label, with those of the dense path it
 replaced (a dense matrix of the images and the dense Gauss-Jordan
 conftest.dense_nullspace, kept as the oracle), and a child process checks
-that an irregular search over a wide window stays fast and small.  The gauge checks of find_constant_form
+that an irregular search over a wide window stays fast and small.  G is
+drawn rational, over Q(zeta_12), over Q and Q(zeta_5), and over Q, Q(zeta_3)
+and Q(i): the first three take the packed operator, the last mostly the
+Laurent one.  The gauge checks of find_constant_form
 and fuchs_decomposition use partial(H) + H G = C H in place of base_change,
 which is compared with base_change itself.
 """
@@ -26,41 +29,48 @@ from fuchskit.functors import (
     _gauge_gives,
     _operator_powers,
     _row_solution_chains,
+    _search_operator,
     _window_images,
     find_constant_form,
     fuchs_decomposition,
     horizontal_sections,
 )
 from fuchskit.generate import Sizes, rand_shearing_gauge
-from fuchskit.laurent import LaurentPoly
+from fuchskit.laurent import LaurentPoly, PackedMatrix
 from fuchskit.linalg import Matrix, jordan_block
 from fuchskit.ratio import Rat
-from fuchskit.scalar import Cyclotomic, ExponentClass
+from fuchskit.scalar import Cyclotomic, ExponentClass, _normal
 
 Z12 = Cyclotomic.root_of_unity(12)
 
+# The kinds of coefficients drawn: rational; Q(zeta_12) with every
+# coordinate drawn; rationals and Q(zeta_5) (one label other than 12); and
+# rationals, Q(zeta_3) and Q(i) (two labels, so the search keeps the
+# Laurent arithmetic).
+KINDS = [False, True, 5, "mixed"]
+KIND_IDS = ["rational", "conductor12", "conductor5", "mixed3and4"]
 
-def rand_coefficient(rng, conductor_12):
-    """A rational, or a value of Q(zeta_12) with every coordinate drawn, or
-    for conductor_12 == "mixed" a rational or a value of Q(zeta_3) or Q(i)."""
-    if not conductor_12:
+
+def rand_coefficient(rng, kind):
+    """A coefficient of the given kind (see KINDS)."""
+    if not kind:
         return Cyclotomic.from_rat(Rat(rng.randint(-3, 3), rng.randint(1, 4)))
-    if conductor_12 == "mixed":
-        n = rng.choice([1, 3, 4])
-        return Cyclotomic(n, [Rat(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(1 if n == 1 else 2)])
-    return Cyclotomic(12, [Rat(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(4)])
+    if kind is True:
+        return Cyclotomic(12, [Rat(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(4)])
+    n = rng.choice([1, 3, 4] if kind == "mixed" else [1, kind])
+    return Cyclotomic(n, [Rat(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(1 if n == 1 else 2)])
 
 
-def rand_connection(rng, dim, conductor_12):
+def rand_connection(rng, dim, kind):
     """A Laurent matrix with degrees in [-2, 2], negative degrees included."""
     rows = []
     for _ in range(dim):
         row = []
         for _ in range(dim):
-            terms = {rng.randint(-2, 2): rand_coefficient(rng, conductor_12) for _ in range(rng.randint(0, 2))}
+            terms = {rng.randint(-2, 2): rand_coefficient(rng, kind) for _ in range(rng.randint(0, 2))}
             row.append(LaurentPoly(terms))
         rows.append(row)
-    rows[0][-1] = rows[0][-1] + LaurentPoly.t_power(-1, rand_coefficient(rng, conductor_12) + 1)
+    rows[0][-1] = rows[0][-1] + LaurentPoly.t_power(-1, rand_coefficient(rng, kind) + 1)
     return Matrix(rows)
 
 
@@ -89,40 +99,59 @@ def assert_same_image(image, expected, mixed):
         assert c.n == e.n or (mixed and {c.n, e.n} in ({3, 12}, {4, 12})), (key, c.n, e.n)
 
 
+def terms_and_labels(row):
+    """Every coefficient of a row of Laurent polynomials, value and label."""
+    return [sorted((d, repr(c), c.n) for d, c in f.terms.items()) for f in row]
+
+
 class TestShiftIdentity:
-    @pytest.mark.parametrize("conductor_12", [False, True, "mixed"], ids=["rational", "conductor12", "mixed3and4"])
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
     @pytest.mark.parametrize("a", [Rat(0), Rat(1, 2), Rat(5, 12), Rat(7, 1009)], ids=["0", "1/2", "5/12", "7/1009"])
-    def test_images_match_direct_application(self, conductor_12, a):
-        rng = random.Random(f"window-images:{conductor_12}:{a}")
+    def test_images_match_direct_application(self, kind, a):
+        rng = random.Random(f"window-images:{kind}:{a}")
         bound = 2
         for dim in (1, 2, 3):
-            g = rand_connection(rng, dim, conductor_12)
-            images = _window_images(_operator_powers(g), ExponentClass(a), bound)
+            g = rand_connection(rng, dim, kind)
+            images = _window_images(_operator_powers(_search_operator(g)), ExponentClass(a), bound)
             assert len(images) == (2 * bound + 1) * dim
             seeds = [(d, i) for d in range(-bound, bound + 1) for i in range(dim)]
             for image, (d, i) in zip(images, seeds):
-                assert_same_image(image, direct_image(g, a, d, i), conductor_12 == "mixed")
+                assert_same_image(image, direct_image(g, a, d, i), kind == "mixed")
 
-    @pytest.mark.parametrize("conductor_12", [False, True, "mixed"], ids=["rational", "conductor12", "mixed3and4"])
-    def test_zero_shift_keeps_only_the_top_power(self, conductor_12):
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_zero_shift_keeps_only_the_top_power(self, kind):
         # class 0 at d = 0: a + d = 0, so the image of e_i is T_0^n(e_i) alone
-        rng = random.Random(f"window-images-p0:{conductor_12}")
+        rng = random.Random(f"window-images-p0:{kind}")
         for dim in (1, 2, 3):
-            g = rand_connection(rng, dim, conductor_12)
-            powers = _operator_powers(g)
+            g = rand_connection(rng, dim, kind)
+            powers = _operator_powers(_search_operator(g))
             images = _window_images(powers, ExponentClass(0), 0)
             for image, seq in zip(images, powers):
-                top = {(e, j): c for j, f in enumerate(seq[-1]) for e, c in f.terms.items()}
-                assert_same_image(image, top, conductor_12 == "mixed")
+                top = {(e, j): _normal(m, nums[-1], den) for e, j, m, den, nums in seq if any(nums[-1])}
+                assert_same_image(image, top, kind == "mixed")
+
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_operator_is_packed_unless_two_labels(self, kind):
+        rng = random.Random(f"search-operator:{kind}")
+        for dim in (2, 3):
+            g = rand_connection(rng, dim, kind)
+            labels = {c.n for row in g.data for f in row for c in f.terms.values()} - {1}
+            op = _search_operator(g)
+            if len(labels) > 1:
+                assert op is g
+            else:
+                assert isinstance(op, PackedMatrix) and op.label == max(labels, default=1)
+                # unpacking gives back every value and label
+                assert [terms_and_labels(row) for row in op.to_rows()] == [terms_and_labels(row) for row in g.data]
 
 
 def counted_search(monkeypatch):
-    """Count _apply_row_operator calls made for the images (outside
-    _row_solution_chains) apart from the chain steps (inside it), and record
-    the length of every chain returned."""
+    """Count the calls of the packed operator (the path of rational G) made
+    for the images (outside _row_solution_chains) apart from the chain steps
+    (inside it), and record the length of every chain returned."""
     counts = {"images": 0, "chains": 0, "chain_lengths": 0}
     inside = []
-    apply, chains = functors._apply_row_operator, functors._row_solution_chains
+    apply, chains = functors._apply_packed_operator, functors._row_solution_chains
 
     def counted_apply(*args):
         counts["chains" if inside else "images"] += 1
@@ -137,7 +166,7 @@ def counted_search(monkeypatch):
         counts["chain_lengths"] += sum(len(chain) for chain in out)
         return out
 
-    monkeypatch.setattr(functors, "_apply_row_operator", counted_apply)
+    monkeypatch.setattr(functors, "_apply_packed_operator", counted_apply)
     monkeypatch.setattr(functors, "_row_solution_chains", counted_chains)
     return counts
 
@@ -184,11 +213,12 @@ def perturbed(c, rng):
 
 class TestInverseFreeCheck:
     def test_agrees_with_base_change(self):
+        # G of every kind; the check packs G, H and C at the lcm of their labels
         rng = random.Random("inverse-free-check")
         sizes = Sizes(max_dim=3)
-        for trial in range(12):
+        for trial in range(16):
             dim = 1 + trial % 3
-            m = DiffModule(rand_connection(rng, dim, conductor_12=trial % 2 == 1))
+            m = DiffModule(rand_connection(rng, dim, KINDS[trial % 4]))
             h = rand_shearing_gauge(rng, sizes, dim)
             if trial % 4 == 3:
                 # a constant unipotent factor with a conductor-12 entry
@@ -218,9 +248,10 @@ class TestInverseFreeCheck:
 
 
 def dense_chains(g, search_class, bound, powers):
-    """_row_solution_chains as it was before the sparse kernel: the seed
-    images written into a dense matrix, one row per (coordinate, degree) key,
-    and the kernel taken by dense Gauss-Jordan elimination."""
+    """_row_solution_chains as it was before the sparse kernel and the packed
+    operator: the seed images written into a dense matrix, one row per
+    (coordinate, degree) key, the kernel taken by dense Gauss-Jordan
+    elimination, and the chain steps in the Laurent ring."""
     n = g.rows
     a_scalar = Cyclotomic.from_rat(search_class.value)
     images = [{(j, e): c for (e, j), c in img.items()} for img in _window_images(powers, search_class, bound)]
@@ -239,43 +270,54 @@ def dense_chains(g, search_class, bound, powers):
 
 def chains_digest(chains):
     """sha256 of every coefficient of every chain, value and conductor label."""
-    text = repr([[[sorted((d, repr(c), c.n) for d, c in f.terms.items()) for f in row] for row in chain]
-                 for chain in chains])
+    text = repr([[terms_and_labels(row) for row in chain] for chain in chains])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# the superdiagonal of the sheared constants: none, zeta_12, zeta_5, and
+# zeta_3 and i in turn
+SUPERDIAGONAL = {
+    False: lambda r: Cyclotomic.zero(),
+    True: lambda r: Z12,
+    5: lambda r: Cyclotomic.root_of_unity(5),
+    "mixed": lambda r: Cyclotomic.root_of_unity(3 if r % 2 else 4),
+}
+
+
 class TestAgainstDenseWindow:
-    @pytest.mark.parametrize("conductor_12", [False, True], ids=["rational", "conductor12"])
-    def test_random_connections(self, conductor_12):
-        rng = random.Random(f"dense-window:{conductor_12}")
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_random_connections(self, kind):
+        rng = random.Random(f"dense-window:{kind}")
         for trial in range(9):
-            g = rand_connection(rng, 1 + trial % 3, conductor_12)
-            powers = _operator_powers(g)
+            g = rand_connection(rng, 1 + trial % 3, kind)
+            op = _search_operator(g)
+            powers = _operator_powers(op)
             for a in (Rat(0), Rat(1, 2), Rat(2, 3)):
                 for bound in (-1, 0, 3):
                     sc = ExponentClass(a)
                     if bound < 0:
-                        assert _row_solution_chains(g, sc, bound, powers) == []
+                        assert _row_solution_chains(op, sc, bound, powers) == []
                         continue
                     expected = chains_digest(dense_chains(g, sc, bound, powers))
-                    assert chains_digest(_row_solution_chains(g, sc, bound, powers)) == expected
+                    assert chains_digest(_row_solution_chains(op, sc, bound, powers)) == expected
 
-    @pytest.mark.parametrize("conductor_12", [False, True], ids=["rational", "conductor12"])
-    def test_sheared_modules(self, conductor_12):
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_sheared_modules(self, kind):
         # regular modules, so that the kernels are full
-        rng = random.Random(f"dense-window-sheared:{conductor_12}")
+        rng = random.Random(f"dense-window-sheared:{kind}")
         sizes = Sizes(max_dim=3)
         found = 0
         for trial in range(6):
             dim = 1 + trial % 3
             exps = [Rat(rng.randint(0, 5), 6) for _ in range(dim)]
             c = Matrix.block_diag([jordan_block(Cyclotomic.from_rat(a), 1) for a in exps])
-            if conductor_12:
-                c = c + Matrix([[Z12 if s == r + 1 else Cyclotomic.zero() for s in range(dim)] for r in range(dim)])
+            c = c + Matrix([[SUPERDIAGONAL[kind](r) if s == r + 1 else Cyclotomic.zero() for s in range(dim)]
+                            for r in range(dim)])
             g = base_change(DiffModule.from_constant(c), rand_shearing_gauge(rng, sizes, dim)).matrix
-            powers = _operator_powers(g)
+            op = _search_operator(g)
+            powers = _operator_powers(op)
             for a in sorted({-ExponentClass(a) for a in exps}, key=lambda x: x.value):
-                chains = _row_solution_chains(g, a, 4, powers)
+                chains = _row_solution_chains(op, a, 4, powers)
                 assert chains_digest(chains) == chains_digest(dense_chains(g, a, 4, powers))
                 found += len(chains)
         assert found >= 12
@@ -284,19 +326,19 @@ class TestAgainstDenseWindow:
         def refuse(*_):
             raise AssertionError("the window search built a dense matrix")
 
-        g = sheared_module().matrix
-        powers = _operator_powers(g)
+        op = _search_operator(sheared_module().matrix)
+        powers = _operator_powers(op)
         monkeypatch.setattr(functors, "Matrix", refuse)
         monkeypatch.setattr(linalg.Matrix, "rref", refuse)
         monkeypatch.setattr(linalg.Matrix, "nullspace", refuse)
-        assert len(_row_solution_chains(g, ExponentClass(Rat(1, 2)), 6, powers)) == 2
+        assert len(_row_solution_chains(op, ExponentClass(Rat(1, 2)), 6, powers)) == 2
 
 
 _IRREGULAR_SETUP = """
 from fuchskit.diffmod import DiffModule
 from fuchskit.errors import NotFoundWithinBounds
 from fuchskit.functors import find_constant_form
-from fuchskit.laurent import LaurentPoly
+from fuchskit.laurent import LaurentPoly, PackedMatrix
 from fuchskit.linalg import Matrix
 from fuchskit.ratio import Rat
 module = DiffModule(Matrix([[LaurentPoly({0: Rat(1, 2), 1: 1})]]))
