@@ -69,6 +69,15 @@ from .functors import (
     rm,
     verify_no_exp_no_log,
 )
-from .verify import run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the seeded property suites import verify and generate, which no data
+    # command needs: load them on first use (PEP 562)
+    if name == "run_suite":
+        from .verify import run_suite
+
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,9 +25,7 @@ from .functors import (
     rm,
 )
 from .diffmod import DiffModule, ext_dim
-from .generate import Sizes
 from .sigmamod import trivialize
-from .verify import PROPERTIES, run_suite
 
 DATA_COMMANDS = (
     "exponents",
@@ -127,6 +125,9 @@ def _pair_input(doc):
 
 def _run_command(args):
     if args.command == "verify":
+        from .generate import Sizes
+        from .verify import PROPERTIES, run_suite
+
         only = None if args.suite == "all" else args.suite
         if only and not any(prop_id.startswith(only) for prop_id, _ in PROPERTIES):
             raise InputError(f"--suite {only!r} matches no property id")

@@ -10,10 +10,13 @@ gauge and the constant matrix off the seeds of that basis, over A and K.
 The search operator T = partial + a + G, its chain steps w -> -T(w)/k and
 the gauge check partial(H) + H G = C H run on laurent.PackedMatrix: integer
 numerators over one conductor label and one denominator, unpacked to
-Laurent polynomials only in the chains handed back.  A G whose irrational
-coefficients carry two or more labels keeps the Laurent-ring operator:
-there the label of a value depends on the order of the operations that
-made it, and only that arithmetic keeps the labels the library prints.  The
+Laurent polynomials only in the chains handed back.  The window's seed
+images are integers over one denominator; for rational G they go straight
+to linalg's certified modular elimination and the seeds stay packed.  A G
+whose irrational coefficients carry two or more labels keeps the
+Laurent-ring operator and the Cyclotomic elimination: there the label of a
+value depends on the order of the operations that made it, and only that
+arithmetic keeps the labels the library prints.  The
 gauge check returns a boolean, so it always packs, at the lcm of every
 label.
 """
@@ -41,9 +44,9 @@ from .expring import ExpRingElem, GroupAlgElem
 from .laurent import LaurentPoly, PackedMatrix, kernel_partial_plus, kernel_partial_square
 from .linalg import (
     Matrix,
+    _modular_kernel,
     charpoly,
     column_kernel,
-    det_cofactor,
     eigenvalues,
     jordan_block,
     jordan_form,
@@ -186,24 +189,27 @@ def _laurent_powers(g):
 
 
 def _window_images(powers, search_class, bound):
-    """T^n(t^d e_i) for d in [-bound, bound] (d outer, i inner) as maps
-    (degree, j) -> nonzero coefficient, from the coefficients of the
-    T_0^k(e_i) (see _operator_powers) by the shift identity (see
-    _row_solution_chains) in integers.  With a = p0/q, the numerators of
-    the T_0^k(e_i) are scaled by C(n,k) q^k, and Horner's rule at
-    p = p0 + d q gives the image's coefficient of t^(e+d) over D q^n, one
-    coordinate at a time."""
+    """T^n(t^d e_i) for d in [-bound, bound] (d outer, i inner), in integers,
+    from the coefficients of the T_0^k(e_i) (see _operator_powers) by the
+    shift identity (see _row_solution_chains): one positive denominator D and
+    the images as maps (degree, j) -> (label, numerators over D) of the
+    nonzero coefficients.  With a = p0/q, the numerators of the T_0^k(e_i)
+    are scaled by C(n,k) q^k and by D / (q^n times their denominator), and
+    Horner's rule at p = p0 + d q gives the image's coefficient of t^(e+d),
+    one coordinate at a time.  Every column of the search is so scaled by
+    the same D, which leaves its kernel as it is."""
     n = len(powers)
     p0, q = search_class.value.numerator, search_class.value.denominator
+    den = lcm(*(d for seq in powers for _, _, _, d, _ in seq)) * q**n
     weights = [comb(n, k) * q**k for k in range(n + 1)]
-    groups = [[(e, j, m, [[w * x for w, x in zip(weights, col)] for col in zip(*nums)], den * q**n)
-               for e, j, m, den, nums in seq] for seq in powers]
+    groups = [[(e, j, m, [[w * (den // (d * q**n)) * x for w, x in zip(weights, col)] for col in zip(*nums)])
+               for e, j, m, d, nums in seq] for seq in powers]
     images = []
     for d in range(-bound, bound + 1):
         p = p0 + d * q
         for group in groups:
             img = {}
-            for e, j, m, coords, den in group:
+            for e, j, m, coords in group:
                 num = []
                 for bs in coords:
                     acc = 0
@@ -211,18 +217,19 @@ def _window_images(powers, search_class, bound):
                         acc = acc * p + b
                     num.append(acc)
                 if any(num):
-                    img[e + d, j] = _normal(m, num, den)
+                    img[e + d, j] = (m, num)
             images.append(img)
-    return images
+    return den, images
 
 
 def _packed_chain(g, a, seed):
-    """The chain of a seed row (see _row_solution_chains) for packed G."""
-    chain = [PackedMatrix.from_rows([seed], g.label)]
+    """The chain of a packed seed row (see _row_solution_chains) for packed G,
+    unpacked."""
+    chain = [seed]
     for k in range(1, g.rows + 1):
         img = _apply_packed_operator(g, a, chain[-1])
         if img.is_zero:
-            return [seed] + [w.to_rows()[0] for w in chain[1:]]
+            return [w.to_rows()[0] for w in chain]
         chain.append(img.scaled(-1, k))
     raise AssertionError("chain does not terminate at the nilpotency bound")
 
@@ -249,21 +256,33 @@ def _row_solution_chains(g, search_class, bound, powers):
     t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i), evaluated by Horner's rule in
     integers; powers holds the T_0^k(e_i), shared by every search class.
 
-    The seeds w_0 are the kernel of the images, in seed order, by
-    column_kernel: the canonical basis (the identity on the columns that
-    depend on earlier ones) depends only on the kernel and that order, so it
-    is the basis Matrix.nullspace gives for the matrix of the images.  An
-    image has degrees in [d + n lo, d + n hi] for G of degrees [lo, hi];
-    keyed by (degree, j), the images form a band, and the search costs time
-    linear in the window times the band."""
+    The seeds w_0 are the kernel of the images, in seed order: the canonical
+    basis (the identity on the columns that depend on earlier ones) depends
+    only on the kernel and that order, so it is the basis Matrix.nullspace
+    gives for the matrix of the images.  For rational G the integer images
+    go straight to linalg._modular_kernel and the seeds to the chain steps
+    packed; otherwise they are made Cyclotomic for column_kernel.  An image
+    has degrees in [d + n lo, d + n hi] for G of degrees [lo, hi]; keyed by
+    (degree, j), the images form a band, and the search costs time linear in
+    the window times the band."""
     if bound < 0:
         return []  # an empty window holds no seeds
-    n = g.rows
-    chain = _packed_chain if isinstance(g, PackedMatrix) else _laurent_chain
+    n, a = g.rows, search_class.value
+    den, images = _window_images(powers, search_class, bound)
     chains = []
-    for combo in column_kernel(_window_images(powers, search_class, bound)):
+    if isinstance(g, PackedMatrix) and g.label == 1:
+        # a seed packed: column (d + bound) n + i is the coefficient of t^d in entry i
+        for f, seed_den, coords in _modular_kernel([{key: x for key, (_, (x,)) in img.items()} for img in images]):
+            nums = {**coords, f: seed_den}
+            seed = PackedMatrix(1, seed_den, {(c // n - bound, 0, c % n): [nums[c]] for c in sorted(nums)}, 1, n)
+            chains.append(_packed_chain(g, a, seed))
+        return chains
+    for combo in column_kernel([{key: _normal(m, x, den) for key, (m, x) in img.items()} for img in images]):
         seed = [LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]
-        chains.append(chain(g, search_class.value, seed))
+        if isinstance(g, PackedMatrix):
+            chains.append(_packed_chain(g, a, PackedMatrix.from_rows([seed], g.label)))
+        else:
+            chains.append(_laurent_chain(g, a, seed))
     return chains
 
 
@@ -329,10 +348,11 @@ def _horizontal_is_invertible(f):
     A nonzero y in A with partial(y)/y in A is a monomial: write y = t^m v
     with v a polynomial, v(0) != 0; then partial(y)/y = m + t v'/v, so v
     divides t v', hence v', and v is constant.  So det F is 0 or a unit of A,
-    and the value det(F(1)) at t = 1 tells which.
+    and F(1), the value at t = 1, tells which: F is invertible exactly when
+    F(1) has no kernel.
     """
     at_one = f.map(lambda x: sum(x.terms.values(), Cyclotomic.zero()))
-    return not det_cofactor(at_one).is_zero
+    return not at_one.nullspace()
 
 
 def find_constant_form(
@@ -355,7 +375,7 @@ def find_constant_form(
     H = W_C^-1 Q^-1 W is sigma-invariant, so it lies in A and equals its
     ell^0 part t^a Z0^-1 Q^-1 W_0; all of this is computed over A and K.
     G' = C is checked as partial(H) + H G = C H, and then H is certified
-    invertible by the value of det H at t = 1 (see _horizontal_is_invertible).
+    invertible by its value at t = 1 (see _horizontal_is_invertible).
 
     This is a semi-decision procedure: NotFoundWithinBounds means absence
     within the bounds, not a proof of irregularity (mon, exponents and

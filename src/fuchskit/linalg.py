@@ -6,6 +6,11 @@ one() classmethods and the usual operators.  Its field algorithms need
 Cyclotomic entries: nullspace is column_kernel of the columns, and rref
 (so rank and inverse) reads the reduced form off that kernel basis.
 
+column_kernel takes rational columns modulo primes and certifies the lifted
+basis exactly (each vector in the kernel, cols - rank mod l of them); columns
+with an irrational entry keep the Cyclotomic elimination, whose labels the
+library prints.
+
 The eigenvalue finder is deliberately restricted to Q union the roots of
 unity: that is exactly the eigenvalue set reachable through gamma on
 rational exponent classes.  The degree of the polynomial bounds the orders
@@ -15,7 +20,8 @@ EigenvalueNotFound instead of an approximation.
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import add, sub
 
 from .errors import DivisionByZero, EigenvalueNotFound, NonSquare
 from .ratio import Rat, is_int
@@ -24,6 +30,7 @@ from .scalar import (
     _common_numerators,
     _poly_xgcd,
     _prime_root,
+    _rat,
     divisors,
     euler_phi,
 )
@@ -105,15 +112,16 @@ class Matrix:
 
     # -- ring arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
+        return Matrix([list(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data)])
+
+    def __add__(self, other):
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._entrywise(other, sub)
 
     def __neg__(self):
         return self.map(lambda x: -x)
@@ -197,17 +205,54 @@ class Matrix:
 
 
 def column_kernel(columns):
-    """The canonical kernel basis of the columns, by sparse elimination: the
-    library's one row reduction, behind Matrix.nullspace, rref, rank and
-    inverse and the window search.  Columns are dicts from row keys (any
-    sortable values) to Cyclotomic entries, and a key missing from a column
-    is a zero entry.
+    """The canonical kernel basis of the columns: the library's one row
+    reduction, behind Matrix.nullspace, rref, rank and inverse and the window
+    search.  Columns are dicts from row keys (any sortable values) to
+    Cyclotomic entries, and a key missing from a column is a zero entry.
 
     The basis is the one that is the identity on the free columns, and the
     free columns are those in the span of the earlier ones, so it depends
     only on the kernel and the column order: the vector of a free column f
-    is e_f minus the coordinates of column f in the pivot columns before it,
-    which this computes in two passes.
+    is e_f minus the coordinates of column f in the pivot columns before it.
+
+    Rational columns are packed as integers over one denominator and taken
+    modulo primes (_modular_kernel), with a certificate: every vector lies
+    exactly in the kernel, and there are cols - rank mod l of them, at least
+    the dimension over Q.  Columns with an irrational entry are eliminated
+    in the Cyclotomic arithmetic (_lu_kernel): with two or more irrational
+    labels a value's label depends on the operations that made it, and only
+    that arithmetic reproduces the labels the library prints; at one label
+    N > 1, the phi(N) modular images cost more than it on small matrices.
+    """
+    dens = {x._den if x._n == 1 else 0 for col in columns for x in col.values()}  # 0: irrational
+    if 0 in dens:
+        kernel = _lu_kernel(columns, _cyclotomic_nonzero, Cyclotomic.inverse)
+    else:
+        den = lcm(*dens)
+        kernel = [(f, {p: _rat(x, d) for p, x in coords.items()})
+                  for f, d, coords in _modular_kernel([{k: x._num[0] * (den // x._den) for k, x in col.items()}
+                                                       for col in columns])]
+    zero, one = Cyclotomic.zero(), Cyclotomic.one()
+    basis = []
+    for f, coords in kernel:
+        vec = [zero] * len(columns)
+        vec[f] = one
+        for p, x in coords.items():
+            vec[p] = x
+        basis.append(vec)
+    return basis
+
+
+def _cyclotomic_nonzero(x):
+    return None if x.is_zero else x
+
+
+def _lu_kernel(columns, nonzero, inverse):
+    """The canonical kernel (see column_kernel) of columns over a field, as
+    pairs (free column f, {pivot column p: the nonzero coordinate p of the
+    vector of f}).  Entries are combined by +, - and *; nonzero(x) is the
+    normal form of x, or None for zero, taken only where an entry is tested
+    or stored, and inverse(x) inverts a nonzero normal form.
 
     Pass 1, a sparse LU in column order: each column is reduced against the
     earlier pivot columns in increasing key order (a heap), and one that does
@@ -223,11 +268,10 @@ def column_kernel(columns):
     per column and pass 2 about band per pivot walked, for each kernel
     vector, so the cost is linear in the number of columns.
     """
-    zero, one = Cyclotomic.zero(), Cyclotomic.one()
     pivot_at = {}  # pivot key -> pivot column
     below = {}  # pivot column -> (its reduced entries after the pivot key, inverse of the pivot entry)
     used_by = {}  # pivot column -> [(earlier pivot column, multiplier)]
-    basis = []
+    kernel = []
     for f, column in enumerate(columns):
         col = dict(column)
         heap = list(col)
@@ -238,11 +282,11 @@ def column_kernel(columns):
             p = pivot_at.get(key)
             if p is None:
                 continue
-            x = col.pop(key)
-            if x.is_zero:
+            x = nonzero(col.pop(key))
+            if x is None:
                 continue
             rest, inv = below[p]
-            m = x * inv
+            m = nonzero(x * inv)
             used.append((p, m))
             for k, y in rest.items():
                 prev = col.get(k)
@@ -251,23 +295,22 @@ def column_kernel(columns):
                     heappush(heap, k)
                 else:
                     col[k] = prev - m * y
-        col = {k: x for k, x in col.items() if not x.is_zero}
+        col = {k: y for k, x in col.items() if (y := nonzero(x)) is not None}
         if col:
             key = min(col)
             pivot_at[key] = f
             pivot = col.pop(key)
-            below[f] = (col, pivot.inverse())
+            below[f] = (col, inverse(pivot))
             used_by[f] = used
             continue
         coords = dict(used)
         order = [-p for p in coords]
         heapify(order)
-        vec = [zero] * len(columns)
-        vec[f] = one
+        vec = {}
         while order:
             p = -heappop(order)
-            x = coords[p]
-            if x.is_zero:
+            x = nonzero(coords[p])
+            if x is None:
                 continue
             vec[p] = -x
             for q, m in used_by[p]:
@@ -277,8 +320,108 @@ def column_kernel(columns):
                     heappush(order, -q)
                 else:
                     coords[q] = prev - x * m
-        basis.append(vec)
-    return basis
+        kernel.append((f, vec))
+    return kernel
+
+
+def _kernel_primes():
+    """The primes above 2^29, ascending.  Below 2^30 a residue is one digit
+    of a Python int and a product of two fits in two, which makes these
+    eliminations faster than with word-size primes, though entries past
+    about 2^14 take more than one prime."""
+    ell = 1 << 29
+    while True:
+        ell = _prime_root(1, ell)[0]
+        yield ell
+
+
+def _modular_kernel(columns):
+    """The canonical kernel (see column_kernel) of integer columns (dicts from
+    row keys to ints): per free column f, (f, den, {pivot column p:
+    numerator}), the nonzero coordinates of its vector over den > 0, in
+    lowest terms.
+
+    _lu_kernel runs modulo one prime after another, and the coordinates are
+    combined by the Chinese remainder theorem and recovered by rational
+    reconstruction until every vector passes the exact check M v = 0.  A
+    prime whose free columns give a better rank profile (fewer of them, or
+    as many and the first difference a pivot) restarts the combination; a
+    worse one is skipped.
+
+    The certificate: each v_f is in the kernel, 1 at f and 0 at the other
+    free columns and after f, so the kernel has dimension at least the
+    number of free columns, cols - rank mod l, which is at least its
+    dimension, since the rank over Q is at least the rank mod l.  So the v_f
+    are a basis, its last nonzero coordinates are the free columns, and it
+    is the canonical one.  A kernel that is zero modulo a prime is zero.
+    """
+    best = None
+    for ell in _kernel_primes():
+        # the integers themselves go in: _lu_kernel reduces an entry where it
+        # tests or stores it, and its coordinates are residues modulo ell
+        image = _lu_kernel(columns, lambda x: x % ell or None, lambda x: pow(x, -1, ell))
+        if not image:
+            return []
+        free = [f for f, _ in image]
+        if best is None or (-len(free), free) > best:
+            best, modulus, done = (-len(free), free), ell, {}
+            residues = [vec for _, vec in image]
+        elif (-len(free), free) < best:
+            continue
+        else:
+            inv = pow(modulus, -1, ell)
+            for (f, vec), res in zip(image, residues):
+                if f not in done:
+                    for p in res.keys() | vec.keys():
+                        a = res.get(p, 0)
+                        res[p] = a + modulus * ((vec.get(p, 0) - a) * inv % ell)
+            modulus *= ell
+        for f, res in zip(free, residues):
+            if f not in done and (vec := _reconstructed(res, modulus)) and _in_kernel(columns, f, *vec):
+                done[f] = vec
+        if len(done) == len(free):
+            return [(f, *done[f]) for f in free]
+
+
+def _reconstructed(residues, modulus):
+    """(den, {p: numerator}) in lowest terms, den > 0, of the rationals with
+    the given residues modulo modulus, zeros dropped; None when one has none.
+    Wang's reconstruction, x/q = a (mod m) with |x| and q at most sqrt(m/2),
+    runs only when a residue times the denominator so far is not already
+    such a small integer (a vector's coordinates mostly share one)."""
+    bound = isqrt(modulus >> 1)
+    den, nums = 1, {}
+    for p, a in residues.items():
+        a = a * den % modulus
+        if a > bound:
+            if modulus - a <= bound:
+                a -= modulus
+            else:
+                r0, r1, s0, s1 = modulus, a, 0, 1
+                while r1 > bound:
+                    q = r0 // r1
+                    r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+                if abs(s1) > bound:
+                    return None
+                a, q = (r1, s1) if s1 > 0 else (-r1, -s1)
+                den *= q
+                nums = {c: x * q for c, x in nums.items()}
+        if a:
+            nums[p] = a
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den, nums = den // g, {p: x // g for p, x in nums.items()}
+    return den, nums
+
+
+def _in_kernel(columns, f, den, coords):
+    """Whether den e_f + sum_p coords[p] e_p is in the kernel of the integer
+    columns, in exact integers."""
+    rows = {k: den * x for k, x in columns[f].items()}
+    for p, a in coords.items():
+        for k, x in columns[p].items():
+            rows[k] = rows.get(k, 0) + a * x
+    return not any(rows.values())
 
 
 def _dot(xs, ys):
@@ -367,7 +510,9 @@ def _rational_roots_of(q):
     Clears denominators and divides out x^k to get integer a_0, ..., a_n with
     a_0 != 0; a nonzero root s/t in lowest terms has s | a_0, t | a_n and
     |s/t| below the Cauchy bound, and is tested exactly in integers as
-    sum_i a_i s^i t^(n-i) = 0.
+    sum_i a_i s^i t^(n-i) = 0.  By Gauss's lemma p = (t x - s) q with q
+    integral, so t - s divides p(1) and t + s divides p(-1): a candidate
+    that fails either is not tested.
     """
     den = lcm(*(int(c.denominator) for c in q))
     ints = [int(c.numerator) * (den // int(c.denominator)) for c in q]
@@ -378,12 +523,15 @@ def _rational_roots_of(q):
         ints.pop(0)
     lead = abs(ints[-1])
     cap = lead + max(abs(c) for c in ints)
+    at_one, at_minus_one = sum(ints), sum(ints[::2]) - sum(ints[1::2])
     numerators = divisors(abs(ints[0]))
     for t in divisors(lead):
         for s in numerators:
             if gcd(s, t) > 1 or s * lead > cap * t:
                 continue
             for r in (s, -s):
+                if (r != t and at_one % (t - r)) or (r != -t and at_minus_one % (t + r)):
+                    continue
                 acc, power = ints[-1], 1
                 for c in ints[-2::-1]:
                     power *= t

@@ -477,6 +477,52 @@ class TestPinnedConductor12:
         assert out == json.dumps(json.loads(PINNED_ELIMINATION_OUTPUT[command]), indent=2, sort_keys=True) + "\n"
 
 
+# Sheared mixed Q(zeta_3)/Q(i) input whose window search keeps the Laurent
+# operator: with G packed at the lcm label 12, the gauge entry
+# (-29/38 - 3/19 z3) t^-2, labelled 3 here, would print at label 12.
+PINNED_MIXED_WINDOW_INPUT = (
+    '{"derivation":"t d/dt","dim":3,"matrix":[[{"0":{"coeffs":["-2/3","-1"],"conductor":3}},{"-4":{"coeff'
+    's":["-2/3","1/2"],"conductor":3}},{"-1":{"coeffs":["-11/6","0","1","-1"],"conductor":12}}],[{"4":{"c'
+    'oeffs":["4/3","-2"],"conductor":3}},{"0":{"coeffs":["4/3","1"],"conductor":3}},{"3":{"coeffs":["-10/'
+    '3","0","2","-1"],"conductor":12}}],[{},{},{"0":{"coeffs":["-1/2"],"conductor":1}}]]}'
+)
+
+PINNED_MIXED_WINDOW_OUTPUT = {
+    "constant-form": (
+        '{"constant":[[{"coeffs":["1/2"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"condu'
+        'ctor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor"'
+        ':1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["2/3"],"conductor":1}'
+        ']],"gauge":[[{},{},{"1":{"coeffs":["1"],"conductor":1}}],[{"2":{"coeffs":["1"],"conductor":1}},{"-2"'
+        ':{"coeffs":["-29/38","-3/19"],"conductor":3}},{"1":{"coeffs":["-1","6/19","0","9/19"],"conductor":12'
+        '}}],[{"2":{"coeffs":["1"],"conductor":1}},{"-2":{"coeffs":["-1/2"],"conductor":1}},{"1":{"coeffs":["'
+        '-1","0","0","-3"],"conductor":12}}]]}'
+    ),
+    "fuchs": (
+        '{"exponents":["0","1/2","2/3"],"factors":[{"coeffs":["0"],"conductor":1},{"coeffs":["1/2"],"conducto'
+        'r":1},{"coeffs":["2/3"],"conductor":1}],"gauge":[[{"2":{"coeffs":["1"],"conductor":1}},{"-2":{"coeff'
+        's":["-29/38","-3/19"],"conductor":3}},{"1":{"coeffs":["-1","6/19","0","9/19"],"conductor":12}}],[{},'
+        '{},{"1":{"coeffs":["1"],"conductor":1}}],[{"2":{"coeffs":["1"],"conductor":1}},{"-2":{"coeffs":["-1/'
+        '2"],"conductor":1}},{"1":{"coeffs":["-1","0","0","-3"],"conductor":12}}]],"triangular":[[{"coeffs":['
+        '"0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1}],[{"coeffs":["0"],'
+        '"conductor":1},{"coeffs":["1/2"],"conductor":1},{"coeffs":["0"],"conductor":1}],[{"coeffs":["0"],"co'
+        'nductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["2/3"],"conductor":1}]]}'
+    ),
+}
+
+
+class TestPinnedMixedWindow:
+    """Mixed-label G keeps the Laurent window search and the Cyclotomic
+    elimination; these bytes fail if it is packed at one label."""
+
+    @pytest.mark.parametrize("command", ["constant-form", "fuchs"])
+    def test_bytes(self, capsys, command):
+        code, out = run_cli(
+            capsys, command, "--json", PINNED_MIXED_WINDOW_INPUT, "--exponent-candidates", "0,1/2,2/3",
+            "--degree-bound", "3"
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(PINNED_MIXED_WINDOW_OUTPUT[command]), indent=2, sort_keys=True) + "\n"
+
 # Constants of the same kind whose hom basis has an i-valued entry that the
 # dense Gauss-Jordan elimination left at label 4 and column_kernel computes
 # through a zeta_3 factor, so at label 12.  The stdout below was recorded with

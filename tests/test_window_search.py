@@ -3,11 +3,13 @@
 The images T_a^n(t^d e_i) of the unit seeds come from the shift identity
 T_a^n(t^d e_i) = t^d sum_k C(n,k) (a+d)^(n-k) T_0^k(e_i); they are compared
 here, value and conductor label, with a direct n-fold application of T_a.
-Their kernel is taken by the sparse linalg.column_kernel; the chains are
-compared, value and conductor label, with those of the dense path it
-replaced (a dense matrix of the images and the dense Gauss-Jordan
-conftest.dense_nullspace, kept as the oracle), and a child process checks
-that an irregular search over a wide window stays fast and small.  G is
+Their kernel is taken by the certified modular elimination
+(linalg._modular_kernel) for rational G and by linalg.column_kernel
+otherwise; the chains are compared, value and conductor label, with those
+of the dense path they replaced (a dense matrix of the images and the
+dense Gauss-Jordan conftest.dense_nullspace, kept as the oracle), and a
+child process checks that an irregular search over a wide window stays
+fast and small.  G is
 drawn rational, over Q(zeta_12), over Q and Q(zeta_5), and over Q, Q(zeta_3)
 and Q(i): the first three take the packed operator, the last mostly the
 Laurent one.  The gauge checks of find_constant_form
@@ -99,6 +101,13 @@ def assert_same_image(image, expected, mixed):
         assert c.n == e.n or (mixed and {c.n, e.n} in ({3, 12}, {4, 12})), (key, c.n, e.n)
 
 
+def image_values(den, images):
+    """The window images (functors._window_images gives them in integers:
+    one denominator, and per coefficient its label and numerators) as maps
+    (degree, j) -> Cyclotomic."""
+    return [{key: _normal(m, x, den) for key, (m, x) in img.items()} for img in images]
+
+
 def terms_and_labels(row):
     """Every coefficient of a row of Laurent polynomials, value and label."""
     return [sorted((d, repr(c), c.n) for d, c in f.terms.items()) for f in row]
@@ -112,7 +121,7 @@ class TestShiftIdentity:
         bound = 2
         for dim in (1, 2, 3):
             g = rand_connection(rng, dim, kind)
-            images = _window_images(_operator_powers(_search_operator(g)), ExponentClass(a), bound)
+            images = image_values(*_window_images(_operator_powers(_search_operator(g)), ExponentClass(a), bound))
             assert len(images) == (2 * bound + 1) * dim
             seeds = [(d, i) for d in range(-bound, bound + 1) for i in range(dim)]
             for image, (d, i) in zip(images, seeds):
@@ -125,7 +134,7 @@ class TestShiftIdentity:
         for dim in (1, 2, 3):
             g = rand_connection(rng, dim, kind)
             powers = _operator_powers(_search_operator(g))
-            images = _window_images(powers, ExponentClass(0), 0)
+            images = image_values(*_window_images(powers, ExponentClass(0), 0))
             for image, seq in zip(images, powers):
                 top = {(e, j): _normal(m, nums[-1], den) for e, j, m, den, nums in seq if any(nums[-1])}
                 assert_same_image(image, top, kind == "mixed")
@@ -254,7 +263,7 @@ def dense_chains(g, search_class, bound, powers):
     elimination, and the chain steps in the Laurent ring."""
     n = g.rows
     a_scalar = Cyclotomic.from_rat(search_class.value)
-    images = [{(j, e): c for (e, j), c in img.items()} for img in _window_images(powers, search_class, bound)]
+    images = [{(j, e): c for (e, j), c in img.items()} for img in image_values(*_window_images(powers, search_class, bound))]
     keys = sorted(set().union(*images)) or [None]
     chains = []
     for combo in dense_nullspace(Matrix([[img.get(key, Cyclotomic.zero()) for img in images] for key in keys])):
