@@ -47,6 +47,7 @@ from .linalg import (
     _modular_kernel,
     charpoly,
     column_kernel,
+    det_cofactor,
     eigenvalues,
     jordan_block,
     jordan_form,
@@ -188,12 +189,12 @@ def _laurent_powers(g):
     return powers
 
 
-def _window_images(powers, search_class, bound):
+def _window_images(powers, search_class, bound, entry):
     """T^n(t^d e_i) for d in [-bound, bound] (d outer, i inner), in integers,
     from the coefficients of the T_0^k(e_i) (see _operator_powers) by the
-    shift identity (see _row_solution_chains): one positive denominator D and
-    the images as maps (degree, j) -> (label, numerators over D) of the
-    nonzero coefficients.  With a = p0/q, the numerators of the T_0^k(e_i)
+    shift identity (see _row_solution_chains): maps (degree, j) ->
+    entry(label, numerators, D) of the nonzero coefficients, over one
+    positive denominator D.  With a = p0/q, the numerators of the T_0^k(e_i)
     are scaled by C(n,k) q^k and by D / (q^n times their denominator), and
     Horner's rule at p = p0 + d q gives the image's coefficient of t^(e+d),
     one coordinate at a time.  Every column of the search is so scaled by
@@ -217,9 +218,9 @@ def _window_images(powers, search_class, bound):
                         acc = acc * p + b
                     num.append(acc)
                 if any(num):
-                    img[e + d, j] = (m, num)
+                    img[e + d, j] = entry(m, num, den)
             images.append(img)
-    return den, images
+    return images
 
 
 def _packed_chain(g, a, seed):
@@ -268,16 +269,17 @@ def _row_solution_chains(g, search_class, bound, powers):
     if bound < 0:
         return []  # an empty window holds no seeds
     n, a = g.rows, search_class.value
-    den, images = _window_images(powers, search_class, bound)
     chains = []
     if isinstance(g, PackedMatrix) and g.label == 1:
+        # the numerators alone: D scales every column
+        images = _window_images(powers, search_class, bound, lambda m, num, den: num[0])
         # a seed packed: column (d + bound) n + i is the coefficient of t^d in entry i
-        for f, seed_den, coords in _modular_kernel([{key: x for key, (_, (x,)) in img.items()} for img in images]):
+        for f, seed_den, coords in _modular_kernel(images):
             nums = {**coords, f: seed_den}
             seed = PackedMatrix(1, seed_den, {(c // n - bound, 0, c % n): [nums[c]] for c in sorted(nums)}, 1, n)
             chains.append(_packed_chain(g, a, seed))
         return chains
-    for combo in column_kernel([{key: _normal(m, x, den) for key, (m, x) in img.items()} for img in images]):
+    for combo in column_kernel(_window_images(powers, search_class, bound, _normal)):
         seed = [LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]
         if isinstance(g, PackedMatrix):
             chains.append(_packed_chain(g, a, PackedMatrix.from_rows([seed], g.label)))
@@ -348,11 +350,10 @@ def _horizontal_is_invertible(f):
     A nonzero y in A with partial(y)/y in A is a monomial: write y = t^m v
     with v a polynomial, v(0) != 0; then partial(y)/y = m + t v'/v, so v
     divides t v', hence v', and v is constant.  So det F is 0 or a unit of A,
-    and F(1), the value at t = 1, tells which: F is invertible exactly when
-    F(1) has no kernel.
+    and the value det(F(1)) at t = 1 tells which.
     """
     at_one = f.map(lambda x: sum(x.terms.values(), Cyclotomic.zero()))
-    return not at_one.nullspace()
+    return not det_cofactor(at_one).is_zero
 
 
 def find_constant_form(
@@ -375,7 +376,7 @@ def find_constant_form(
     H = W_C^-1 Q^-1 W is sigma-invariant, so it lies in A and equals its
     ell^0 part t^a Z0^-1 Q^-1 W_0; all of this is computed over A and K.
     G' = C is checked as partial(H) + H G = C H, and then H is certified
-    invertible by its value at t = 1 (see _horizontal_is_invertible).
+    invertible by the value of det H at t = 1 (see _horizontal_is_invertible).
 
     This is a semi-decision procedure: NotFoundWithinBounds means absence
     within the bounds, not a proof of irregularity (mon, exponents and

@@ -226,7 +226,7 @@ def column_kernel(columns):
     """
     dens = {x._den if x._n == 1 else 0 for col in columns for x in col.values()}  # 0: irrational
     if 0 in dens:
-        kernel = _lu_kernel(columns, _cyclotomic_nonzero, Cyclotomic.inverse)
+        kernel = _lu_kernel(columns, _cyclotomic_normal, Cyclotomic.inverse)
     else:
         den = lcm(*dens)
         kernel = [(f, {p: _rat(x, d) for p, x in coords.items()})
@@ -243,16 +243,17 @@ def column_kernel(columns):
     return basis
 
 
-def _cyclotomic_nonzero(x):
-    return None if x.is_zero else x
+def _cyclotomic_normal(x):
+    # a Cyclotomic is in normal form and always true: None stands for zero
+    return None if x._n == 1 and not x._num[0] else x  # x.is_zero, inlined
 
 
-def _lu_kernel(columns, nonzero, inverse):
+def _lu_kernel(columns, normal, inverse):
     """The canonical kernel (see column_kernel) of columns over a field, as
     pairs (free column f, {pivot column p: the nonzero coordinate p of the
-    vector of f}).  Entries are combined by +, - and *; nonzero(x) is the
-    normal form of x, or None for zero, taken only where an entry is tested
-    or stored, and inverse(x) inverts a nonzero normal form.
+    vector of f}).  Entries are combined by +, - and *; normal(x) is the
+    normal form of x, false exactly when x is zero, taken only where an
+    entry is tested or stored, and inverse(x) inverts a nonzero normal form.
 
     Pass 1, a sparse LU in column order: each column is reduced against the
     earlier pivot columns in increasing key order (a heap), and one that does
@@ -282,11 +283,11 @@ def _lu_kernel(columns, nonzero, inverse):
             p = pivot_at.get(key)
             if p is None:
                 continue
-            x = nonzero(col.pop(key))
-            if x is None:
+            x = normal(col.pop(key))
+            if not x:
                 continue
             rest, inv = below[p]
-            m = nonzero(x * inv)
+            m = normal(x * inv)
             used.append((p, m))
             for k, y in rest.items():
                 prev = col.get(k)
@@ -295,7 +296,7 @@ def _lu_kernel(columns, nonzero, inverse):
                     heappush(heap, k)
                 else:
                     col[k] = prev - m * y
-        col = {k: y for k, x in col.items() if (y := nonzero(x)) is not None}
+        col = {k: y for k, x in col.items() if (y := normal(x))}
         if col:
             key = min(col)
             pivot_at[key] = f
@@ -309,8 +310,8 @@ def _lu_kernel(columns, nonzero, inverse):
         vec = {}
         while order:
             p = -heappop(order)
-            x = nonzero(coords[p])
-            if x is None:
+            x = normal(coords[p])
+            if not x:
                 continue
             vec[p] = -x
             for q, m in used_by[p]:
@@ -359,7 +360,7 @@ def _modular_kernel(columns):
     for ell in _kernel_primes():
         # the integers themselves go in: _lu_kernel reduces an entry where it
         # tests or stores it, and its coordinates are residues modulo ell
-        image = _lu_kernel(columns, lambda x: x % ell or None, lambda x: pow(x, -1, ell))
+        image = _lu_kernel(columns, ell.__rmod__, lambda x: pow(x, -1, ell))  # x % ell
         if not image:
             return []
         free = [f for f, _ in image]
@@ -376,20 +377,40 @@ def _modular_kernel(columns):
                         a = res.get(p, 0)
                         res[p] = a + modulus * ((vec.get(p, 0) - a) * inv % ell)
             modulus *= ell
+        bound = isqrt(modulus >> 1)
         for f, res in zip(free, residues):
-            if f not in done and (vec := _reconstructed(res, modulus)) and _in_kernel(columns, f, *vec):
+            if f not in done and (vec := _lifted(columns, f, res, modulus, bound)):
                 done[f] = vec
         if len(done) == len(free):
-            return [(f, *done[f]) for f in free]
+            return [done[f] for f in free]
 
 
-def _reconstructed(residues, modulus):
+def _lifted(columns, f, residues, modulus, bound):
+    """(f, den, {p: numerator}) of the vector den e_f + sum_p numerator_p e_p
+    whose coordinates have the given residues modulo modulus (see
+    _reconstructed), if it is in the kernel of the integer columns, checked
+    in exact integers; else None."""
+    nums = {p: (a + bound) % modulus - bound for p, a in residues.items()}
+    if max(nums.values(), default=0) <= bound:
+        den, rows = 1, dict(columns[f])  # small integers, the usual case
+    elif vec := _reconstructed(residues, modulus, bound):
+        den, nums = vec
+        rows = {k: den * x for k, x in columns[f].items()}
+    else:
+        return None
+    for p, a in nums.items():
+        for k, x in columns[p].items():
+            rows[k] = rows.get(k, 0) + a * x
+    return None if any(rows.values()) else (f, den, nums)
+
+
+def _reconstructed(residues, modulus, bound):
     """(den, {p: numerator}) in lowest terms, den > 0, of the rationals with
     the given residues modulo modulus, zeros dropped; None when one has none.
-    Wang's reconstruction, x/q = a (mod m) with |x| and q at most sqrt(m/2),
-    runs only when a residue times the denominator so far is not already
-    such a small integer (a vector's coordinates mostly share one)."""
-    bound = isqrt(modulus >> 1)
+    Wang's reconstruction, x/q = a (mod m) with |x| and q at most
+    bound = sqrt(m/2), runs only when a residue times the denominator so far
+    is not already such a small integer (a vector's coordinates mostly share
+    one)."""
     den, nums = 1, {}
     for p, a in residues.items():
         a = a * den % modulus
@@ -412,16 +433,6 @@ def _reconstructed(residues, modulus):
     if g > 1:
         den, nums = den // g, {p: x // g for p, x in nums.items()}
     return den, nums
-
-
-def _in_kernel(columns, f, den, coords):
-    """Whether den e_f + sum_p coords[p] e_p is in the kernel of the integer
-    columns, in exact integers."""
-    rows = {k: den * x for k, x in columns[f].items()}
-    for p, a in coords.items():
-        for k, x in columns[p].items():
-            rows[k] = rows.get(k, 0) + a * x
-    return not any(rows.values())
 
 
 def _dot(xs, ys):
@@ -510,9 +521,7 @@ def _rational_roots_of(q):
     Clears denominators and divides out x^k to get integer a_0, ..., a_n with
     a_0 != 0; a nonzero root s/t in lowest terms has s | a_0, t | a_n and
     |s/t| below the Cauchy bound, and is tested exactly in integers as
-    sum_i a_i s^i t^(n-i) = 0.  By Gauss's lemma p = (t x - s) q with q
-    integral, so t - s divides p(1) and t + s divides p(-1): a candidate
-    that fails either is not tested.
+    sum_i a_i s^i t^(n-i) = 0.
     """
     den = lcm(*(int(c.denominator) for c in q))
     ints = [int(c.numerator) * (den // int(c.denominator)) for c in q]
@@ -523,15 +532,12 @@ def _rational_roots_of(q):
         ints.pop(0)
     lead = abs(ints[-1])
     cap = lead + max(abs(c) for c in ints)
-    at_one, at_minus_one = sum(ints), sum(ints[::2]) - sum(ints[1::2])
     numerators = divisors(abs(ints[0]))
     for t in divisors(lead):
         for s in numerators:
             if gcd(s, t) > 1 or s * lead > cap * t:
                 continue
             for r in (s, -s):
-                if (r != t and at_one % (t - r)) or (r != -t and at_minus_one % (t + r)):
-                    continue
                 acc, power = ints[-1], 1
                 for c in ints[-2::-1]:
                     power *= t
@@ -758,8 +764,11 @@ def _jordan_elimination(m):
     algebraic multiplicity.  The chain tops of size s, from the largest size
     down, are the vectors of the ker E^s basis, in basis order, that are
     independent of ker E^(s-1) and of the chains already built: the pivot
-    columns of one rref.  A top v contributes the columns E^(s-1) v, ...,
-    E v, v.  Each kernel and each rref is one column_kernel.
+    columns of one rref, or the whole basis when there is nothing before it.
+    There are as many as there are blocks of size s, (d_s - d_(s-1)) -
+    (d_(s+1) - d_s) for d_k = dim ker E^k, so a size with none takes no
+    rref.  A top v contributes the columns E^(s-1) v, ..., E v, v.  Each
+    kernel and each rref is one column_kernel.
     """
     ident = Matrix.identity(m.rows)
     blocks = []
@@ -773,9 +782,14 @@ def _jordan_elimination(m):
             if len(kernels[-1]) == len(kernels[-2]):
                 raise AssertionError("generalized eigenspace smaller than the multiplicity")
         chains = []
+        dims = [len(kernel) for kernel in kernels] + [len(kernels[-1])]
         for size in range(len(kernels) - 1, 0, -1):
+            if dims[size] - dims[size - 1] == dims[size + 1] - dims[size]:
+                continue  # no block has this size, so there is no top to find
             known = kernels[size - 1] + chains
-            for col in Matrix.from_columns(known + kernels[size]).rref()[1]:
+            # a basis is independent: with nothing known, every vector is a top
+            tops = Matrix.from_columns(known + kernels[size]).rref()[1] if known else range(len(kernels[size]))
+            for col in tops:
                 if col < len(known):
                     continue
                 chain = [kernels[size][col - len(known)]]

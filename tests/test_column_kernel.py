@@ -102,7 +102,7 @@ def lu_kernel(columns):
     path."""
     zero, one = Cyclotomic.zero(), Cyclotomic.one()
     basis = []
-    for f, coords in linalg._lu_kernel(columns, linalg._cyclotomic_nonzero, Cyclotomic.inverse):
+    for f, coords in linalg._lu_kernel(columns, linalg._cyclotomic_normal, Cyclotomic.inverse):
         vec = [zero] * len(columns)
         vec[f] = one
         for p, x in coords.items():

@@ -101,13 +101,6 @@ def assert_same_image(image, expected, mixed):
         assert c.n == e.n or (mixed and {c.n, e.n} in ({3, 12}, {4, 12})), (key, c.n, e.n)
 
 
-def image_values(den, images):
-    """The window images (functors._window_images gives them in integers:
-    one denominator, and per coefficient its label and numerators) as maps
-    (degree, j) -> Cyclotomic."""
-    return [{key: _normal(m, x, den) for key, (m, x) in img.items()} for img in images]
-
-
 def terms_and_labels(row):
     """Every coefficient of a row of Laurent polynomials, value and label."""
     return [sorted((d, repr(c), c.n) for d, c in f.terms.items()) for f in row]
@@ -121,7 +114,7 @@ class TestShiftIdentity:
         bound = 2
         for dim in (1, 2, 3):
             g = rand_connection(rng, dim, kind)
-            images = image_values(*_window_images(_operator_powers(_search_operator(g)), ExponentClass(a), bound))
+            images = _window_images(_operator_powers(_search_operator(g)), ExponentClass(a), bound, _normal)
             assert len(images) == (2 * bound + 1) * dim
             seeds = [(d, i) for d in range(-bound, bound + 1) for i in range(dim)]
             for image, (d, i) in zip(images, seeds):
@@ -134,7 +127,7 @@ class TestShiftIdentity:
         for dim in (1, 2, 3):
             g = rand_connection(rng, dim, kind)
             powers = _operator_powers(_search_operator(g))
-            images = image_values(*_window_images(powers, ExponentClass(0), 0))
+            images = _window_images(powers, ExponentClass(0), 0, _normal)
             for image, seq in zip(images, powers):
                 top = {(e, j): _normal(m, nums[-1], den) for e, j, m, den, nums in seq if any(nums[-1])}
                 assert_same_image(image, top, kind == "mixed")
@@ -263,7 +256,7 @@ def dense_chains(g, search_class, bound, powers):
     elimination, and the chain steps in the Laurent ring."""
     n = g.rows
     a_scalar = Cyclotomic.from_rat(search_class.value)
-    images = [{(j, e): c for (e, j), c in img.items()} for img in image_values(*_window_images(powers, search_class, bound))]
+    images = [{(j, e): c for (e, j), c in img.items()} for img in _window_images(powers, search_class, bound, _normal)]
     keys = sorted(set().union(*images)) or [None]
     chains = []
     for combo in dense_nullspace(Matrix([[img.get(key, Cyclotomic.zero()) for img in images] for key in keys])):
