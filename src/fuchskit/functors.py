@@ -7,18 +7,14 @@ searches for a full basis of horizontal sections of M (x) E_A by exact
 linear algebra on a bounded coefficient space, then reads the monodromy, the
 gauge and the constant matrix off the seeds of that basis, over A and K.
 
-The search operator T = partial + a + G, its chain steps w -> -T(w)/k and
-the gauge check partial(H) + H G = C H run on laurent.PackedMatrix: integer
-numerators over one conductor label and one denominator, unpacked to
-Laurent polynomials only in the chains handed back.  The window's seed
-images are integers over one denominator; for rational G they go straight
-to linalg's certified modular elimination and the seeds stay packed.  A G
-whose irrational coefficients carry two or more labels keeps the
-Laurent-ring operator and the Cyclotomic elimination: there the label of a
-value depends on the order of the operations that made it, and only that
-arithmetic keeps the labels the library prints.  The
-gauge check returns a boolean, so it always packs, at the lcm of every
-label.
+Where a path is chosen, one rule holds (as in linalg.column_kernel):
+rational input runs in integers, and anything with an irrational
+coefficient runs in the Laurent ring and the Cyclotomic elimination, whose
+labels the library prints.  For rational G the search operator
+T = partial + a + G and its chain steps w -> -T(w)/k run on
+laurent.PackedMatrix, unpacked only in the chains handed back, and the
+window's integer seed images go to linalg's certified modular elimination;
+a rational triple (H, G, C) is gauge-checked, partial(H) + H G = C H, packed.
 """
 
 from dataclasses import dataclass
@@ -120,13 +116,11 @@ def _labels(m):
 
 
 def _search_operator(g):
-    """G for the window search: packed (laurent.PackedMatrix) when its
-    irrational coefficients carry at most one label L, so every value the
-    search makes is rational or at L and unpacks to the label the Laurent
-    arithmetic gives.  G with two or more irrational labels stays a Laurent
-    matrix: there a label depends on the order of the operations, which
-    only the Laurent arithmetic reproduces."""
-    return g if len(_labels(g) - {1}) > 1 else PackedMatrix.from_rows(g.data)
+    """G for the window search: packed (laurent.PackedMatrix) when it is
+    rational, else the Laurent matrix itself, whose arithmetic gives the
+    labels the library prints.  For G with a single irrational label both
+    would print label L or 1 by value; the Laurent ring keeps one rule."""
+    return PackedMatrix.from_rows(g.data) if _labels(g) <= {1} else g
 
 
 def _apply_packed_operator(g, a, w):
@@ -158,17 +152,18 @@ def _operator_powers(g):
 
 
 def _packed_powers(g):
-    """_operator_powers for packed G: one label, and one D per i."""
+    """_operator_powers for rational G, in integers (irrational G takes
+    _laurent_powers): label 1, and one D per i."""
     n, powers = g.rows, []
     for i in range(n):
-        seq = [PackedMatrix.from_rows([[LaurentPoly.one() if j == i else LaurentPoly.zero() for j in range(n)]], g.label)]
+        seq = [PackedMatrix.from_rows([[LaurentPoly.one() if j == i else LaurentPoly.zero() for j in range(n)]])]
         for _ in range(n):
             seq.append(_apply_packed_operator(g, 0, seq[-1]))
         den, by_key = lcm(*(w.den for w in seq)), {}
         for k, w in enumerate(seq):
             for (e, _, j), x in w.nums.items():
-                by_key.setdefault((e, j), [[0] * len(x)] * (n + 1))[k] = [y * (den // w.den) for y in x]
-        powers.append([(e, j, g.label, den, nums) for (e, j), nums in by_key.items()])
+                by_key.setdefault((e, j), [[0]] * (n + 1))[k] = [x * (den // w.den)]
+        powers.append([(e, j, 1, den, nums) for (e, j), nums in by_key.items()])
     return powers
 
 
@@ -262,29 +257,27 @@ def _row_solution_chains(g, search_class, bound, powers):
     only on the kernel and that order, so it is the basis Matrix.nullspace
     gives for the matrix of the images.  For rational G the integer images
     go straight to linalg._modular_kernel and the seeds to the chain steps
-    packed; otherwise they are made Cyclotomic for column_kernel.  An image
-    has degrees in [d + n lo, d + n hi] for G of degrees [lo, hi]; keyed by
-    (degree, j), the images form a band, and the search costs time linear in
-    the window times the band."""
+    packed; for irrational G they are made Cyclotomic for column_kernel and
+    the chains run in the Laurent ring.  An image has degrees in
+    [d + n lo, d + n hi] for G of degrees [lo, hi]; keyed by (degree, j),
+    the images form a band, and the search costs time linear in the window
+    times the band."""
     if bound < 0:
         return []  # an empty window holds no seeds
     n, a = g.rows, search_class.value
     chains = []
-    if isinstance(g, PackedMatrix) and g.label == 1:
+    if isinstance(g, PackedMatrix):
         # the numerators alone: D scales every column
         images = _window_images(powers, search_class, bound, lambda m, num, den: num[0])
         # a seed packed: column (d + bound) n + i is the coefficient of t^d in entry i
         for f, seed_den, coords in _modular_kernel(images):
             nums = {**coords, f: seed_den}
-            seed = PackedMatrix(1, seed_den, {(c // n - bound, 0, c % n): [nums[c]] for c in sorted(nums)}, 1, n)
+            seed = PackedMatrix(seed_den, {(c // n - bound, 0, c % n): nums[c] for c in sorted(nums)}, 1, n)
             chains.append(_packed_chain(g, a, seed))
         return chains
     for combo in column_kernel(_window_images(powers, search_class, bound, _normal)):
         seed = [LaurentPoly({d: combo[(d + bound) * n + i] for d in range(-bound, bound + 1)}) for i in range(n)]
-        if isinstance(g, PackedMatrix):
-            chains.append(_packed_chain(g, a, PackedMatrix.from_rows([seed], g.label)))
-        else:
-            chains.append(_laurent_chain(g, a, seed))
+        chains.append(_laurent_chain(g, a, seed))
     return chains
 
 
@@ -332,13 +325,16 @@ def _seed_block_inverse(lam, size):
 def _gauge_gives(module, h, c):
     """Whether the gauge H takes G to the matrix C, given that H is
     invertible: G' = (partial(H) + H G) H^-1, so G' = C exactly when
-    partial(H) + H G = C H, which needs no inverse of H.  Checked on the
-    three matrices packed at the lcm of all their labels: the answer is a
-    value comparison, so no label has to be reproduced."""
+    partial(H) + H G = C H, which needs no inverse of H.  A rational triple
+    is checked packed, in integers; one with an irrational coefficient (H
+    carries the monodromy's roots of unity even for rational G) in the
+    Laurent ring.  The answer is a value comparison either way."""
     module.require_standard_derivation()
-    label = lcm(*_labels(h), *_labels(module.matrix), *_labels(c))
-    hp, gp, cp = (PackedMatrix.from_rows(m.data, label) for m in (h, module.matrix, c))
-    return hp.partial_plus(0) + hp * gp == cp * hp
+    g = module.matrix
+    if _labels(h) | _labels(g) | _labels(c) <= {1}:
+        hp, gp, cp = (PackedMatrix.from_rows(m.data) for m in (h, g, c))
+        return hp.partial_plus(0) + hp * gp == cp * hp
+    return h.map(LaurentPoly.partial) + h * g == c * h
 
 
 def _horizontal_is_invertible(f):

@@ -10,7 +10,7 @@ from math import gcd, lcm
 from .errors import LogObstruction, NotAUnit
 from .linalg import column_kernel
 from .ratio import Rat
-from .scalar import Cyclotomic, ExponentClass, _common_numerators, _mul_num, _normal, as_cyclotomic
+from .scalar import Cyclotomic, ExponentClass, _common_numerators, _rat, as_cyclotomic
 
 
 def _coerce_scalar(x):
@@ -183,48 +183,46 @@ class LaurentPoly:
 
 
 class PackedMatrix:
-    """A Laurent matrix over Q(zeta_L) in integers: one label L, one positive
-    denominator D and, keyed by (degree, row, column), the integer
-    numerators (reduced modulo Phi_L) of its nonzero coefficients, so entry
-    (i, j) is sum_e nums[e, i, j] t^e / D, in lowest terms.  A row vector is
-    a matrix with one row.
+    """A rational Laurent matrix in integers: one positive denominator D and,
+    keyed by (degree, row, column), the integer numerators of its nonzero
+    coefficients, so entry (i, j) is sum_e nums[e, i, j] t^e / D, in lowest
+    terms.  A row vector is a matrix with one row.
 
-    Sums, products and the derivation make no Cyclotomic: a product
-    convolves numerators modulo Phi_L (scalar._mul_num), a sum puts them
-    over one denominator; operands share the label.  Packing is
-    scalar._common_numerators and unpacking scalar._normal, which demotes a
-    rational value to label 1: when every coefficient met is rational or at
-    L, the unpacked labels are those the Laurent arithmetic gives.
+    Sums, products and the derivation make no Cyclotomic: they work on plain
+    ints, a sum over one denominator.  Only rational matrices are packed;
+    anything with an irrational coefficient stays in the Laurent ring, whose
+    arithmetic gives the labels the library prints.  Unpacking is
+    scalar._rat, so every value comes back at label 1.
     """
 
-    __slots__ = ("label", "den", "nums", "rows", "cols")
+    __slots__ = ("den", "nums", "rows", "cols")
 
-    def __init__(self, label, den, nums, rows, cols):
-        self.label, self.den, self.nums, self.rows, self.cols = label, den, nums, rows, cols
+    def __init__(self, den, nums, rows, cols):
+        self.den, self.nums, self.rows, self.cols = den, nums, rows, cols
 
     @classmethod
-    def from_rows(cls, rows, label=1):
-        """Pack rows of LaurentPoly at the lcm of label and their labels."""
+    def from_rows(cls, rows):
+        """Pack rows of LaurentPoly with rational coefficients."""
         entries = {(e, i, j): c for i, row in enumerate(rows) for j, f in enumerate(row) for e, c in f.terms.items()}
-        n, den, nums = _common_numerators(list(entries.values()), label)
-        return cls(n, den, dict(zip(entries, nums)), len(rows), len(rows[0]))
+        _, den, nums = _common_numerators(list(entries.values()))
+        return cls(den, {k: x for k, (x,) in zip(entries, nums)}, len(rows), len(rows[0]))
 
     def to_rows(self):
         """The rows of LaurentPoly."""
         terms = [[{} for _ in range(self.cols)] for _ in range(self.rows)]
         for (e, i, j), x in self.nums.items():
-            terms[i][j][e] = _normal(self.label, x, self.den)
+            terms[i][j][e] = _rat(x, self.den)
         return [[LaurentPoly(t) for t in row] for row in terms]
 
     def _reduced(self, den, nums, cols=None):
-        """At this label, with cols columns (default: as self): zero entries
-        dropped, the content divided out."""
-        nums = {k: x for k, x in nums.items() if any(x)}
-        g = gcd(den, *(y for x in nums.values() for y in x))
+        """With cols columns (default: as self): zero entries dropped, the
+        content divided out."""
+        nums = {k: x for k, x in nums.items() if x}
+        g = gcd(den, *nums.values())
         if g != 1:
             den //= g
-            nums = {k: [y // g for y in x] for k, x in nums.items()}
-        return PackedMatrix(self.label, den, nums, self.rows, self.cols if cols is None else cols)
+            nums = {k: x // g for k, x in nums.items()}
+        return PackedMatrix(den, nums, self.rows, self.cols if cols is None else cols)
 
     @property
     def is_zero(self):
@@ -233,23 +231,18 @@ class PackedMatrix:
     def partial_plus(self, a):
         """(partial + a) entrywise, for a rational a."""
         p, q = a.numerator, a.denominator
-        return self._reduced(self.den * q, {k: [(k[0] * q + p) * y for y in x] for k, x in self.nums.items()})
+        return self._reduced(self.den * q, {k: (k[0] * q + p) * x for k, x in self.nums.items()})
 
     def scaled(self, p, q):
         """Times the rational p/q, q > 0."""
-        return self._reduced(self.den * q, {k: [p * y for y in x] for k, x in self.nums.items()})
+        return self._reduced(self.den * q, {k: p * x for k, x in self.nums.items()})
 
     def __add__(self, other):
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
-        nums = {k: [sa * y for y in x] for k, x in self.nums.items()}
+        nums = {k: sa * x for k, x in self.nums.items()}
         for k, x in other.nums.items():
-            acc = nums.get(k)
-            if acc is None:
-                nums[k] = [sb * y for y in x]
-            else:
-                for c, y in enumerate(x):
-                    acc[c] += sb * y
+            nums[k] = nums.get(k, 0) + sb * x
         return self._reduced(den, nums)
 
     def __mul__(self, other):
@@ -259,18 +252,13 @@ class PackedMatrix:
         nums = {}
         for (e, i, k), x in self.nums.items():
             for f, j, y in by_row.get(k, ()):
-                z = _mul_num(x, y, self.label)
-                acc = nums.get((e + f, i, j))
-                if acc is None:
-                    nums[e + f, i, j] = z
-                else:
-                    for c, v in enumerate(z):
-                        acc[c] += v
+                key = e + f, i, j
+                nums[key] = nums.get(key, 0) + x * y
         return self._reduced(self.den * other.den, nums, other.cols)
 
     def __eq__(self, other):
         # both are in lowest terms, so equal values are stored alike
-        return (self.label, self.den, self.nums) == (other.label, other.den, other.nums)
+        return (self.den, self.nums) == (other.den, other.nums)
 
 
 def partial(f):

@@ -227,25 +227,11 @@ def _normal(n, num, den):
     return _make(n, tuple(num), den)
 
 
-def _common_numerators(values, label=1):
-    """The lcm N of label and the labels of values, the lcm D of their
-    denominators, and the integer numerators of each value at label N over D."""
-    n, den = lcm(label, *(c._n for c in values)), lcm(*(c._den for c in values))
+def _common_numerators(values):
+    """The lcm N of the labels of values, the lcm D of their denominators,
+    and the integer numerators of each value at label N over D."""
+    n, den = lcm(*(c._n for c in values)), lcm(*(c._den for c in values))
     return n, den, [[x * (den // c._den) for x in c._embed_num(n)] for c in values]
-
-
-def _mul_num(a, b, m):
-    """The integer numerators at label m of the product of the numerators a
-    and b at label m: their convolution, reduced modulo Phi_m."""
-    if m == 1:
-        return [a[0] * b[0]]
-    prod = [0] * (2 * len(a) - 1)
-    bs = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in bs:
-                prod[i + j] += x * y
-    return _divmod_monic(prod, cyclotomic_polynomial(m))[1]
 
 
 def _rat(num, den):
@@ -420,7 +406,14 @@ class Cyclotomic:
                 return x
             return _normal(x._n, [c * rn for c in x._num], x._den * rd)
         m, a, b = self._pair(other)
-        return _normal(m, _mul_num(a, b, m), self._den * other._den)
+        prod = [0] * (2 * len(a) - 1)
+        bs = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in bs:
+                    prod[i + j] += x * y
+        num = _divmod_monic(prod, cyclotomic_polynomial(m))[1]
+        return _normal(m, num, self._den * other._den)
 
     __rmul__ = __mul__
 

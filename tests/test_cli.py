@@ -523,6 +523,58 @@ class TestPinnedMixedWindow:
         assert code == 0
         assert out == json.dumps(json.loads(PINNED_MIXED_WINDOW_OUTPUT[command]), indent=2, sort_keys=True) + "\n"
 
+
+# A sheared module over Q and Q(zeta_5): J(0, 2) + (1/2) with zeta_5 on the
+# superdiagonal of diag(0, 1/2, 0), gauged by a diag(t^k) P of
+# generate.rand_shearing_gauge.  G mixes rationals with the one irrational
+# label 5.  The stdout below was recorded when such a G
+# took the packed window search at label 5.
+PINNED_CONDUCTOR5_INPUT = (
+    '{"derivation":"t d/dt","dim":3,"matrix":[[{"0":{"coeffs":["-2","-1","0","0"],"conductor":5}},{},{"0"'
+    ':{"coeffs":["0","-1","0","0"],"conductor":5}}],[{"4":{"coeffs":["-1/2","5","0","0"],"conductor":5}},'
+    '{"0":{"coeffs":["2","1","0","0"],"conductor":5}},{"4":{"coeffs":["-1/2","3","0","0"],"conductor":5}}'
+    '],[{"0":{"coeffs":["1/2","-2","0","0"],"conductor":5}},{"-4":{"coeffs":["0","-1","0","0"],"conductor'
+    '":5}},{"0":{"coeffs":["-3/2"],"conductor":1}}]]}'
+)
+
+PINNED_CONDUCTOR5_OUTPUT = {
+    "constant-form": (
+        '{"constant":[[{"coeffs":["1/2"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"condu'
+        'ctor":1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["1"],"conductor"'
+        ':1}],[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1}]]'
+        ',"gauge":[[{"2":{"coeffs":["63/31","-28/31","-24/31","-16/31"],"conductor":5}},{"-2":{"coeffs":["16/'
+        '31","-14/31","-12/31","-8/31"],"conductor":5}},{"2":{"coeffs":["1"],"conductor":1}}],[{},{"-2":{"coe'
+        'ffs":["1/9","1/9","1/9","1/18"],"conductor":5}},{"2":{"coeffs":["-2/9","-2/9","-2/9","-5/18"],"condu'
+        'ctor":5}}],[{"2":{"coeffs":["-1"],"conductor":1}},{"-2":{"coeffs":["-1/3"],"conductor":1}},{"2":{"co'
+        'effs":["-1/3"],"conductor":1}}]]}'
+    ),
+    "fuchs": (
+        '{"exponents":["0","0","1/2"],"factors":[{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1'
+        '},{"coeffs":["1/2"],"conductor":1}],"gauge":[[{},{"-2":{"coeffs":["1/9","1/9","1/9","1/18"],"conduct'
+        'or":5}},{"2":{"coeffs":["-2/9","-2/9","-2/9","-5/18"],"conductor":5}}],[{"2":{"coeffs":["-1"],"condu'
+        'ctor":1}},{"-2":{"coeffs":["-1/3"],"conductor":1}},{"2":{"coeffs":["-1/3"],"conductor":1}}],[{"2":{"'
+        'coeffs":["63/31","-28/31","-24/31","-16/31"],"conductor":5}},{"-2":{"coeffs":["16/31","-14/31","-12/'
+        '31","-8/31"],"conductor":5}},{"2":{"coeffs":["1"],"conductor":1}}]],"triangular":[[{"coeffs":["0"],"'
+        'conductor":1},{"coeffs":["1"],"conductor":1},{"coeffs":["0"],"conductor":1}],[{"coeffs":["0"],"condu'
+        'ctor":1},{"coeffs":["0"],"conductor":1},{"coeffs":["0"],"conductor":1}],[{"coeffs":["0"],"conductor"'
+        ':1},{"coeffs":["0"],"conductor":1},{"coeffs":["1/2"],"conductor":1}]]}'
+    ),
+}
+
+
+class TestPinnedConductor5:
+    """G with one odd irrational label: these bytes guard the route its
+    window search and gauge checks take."""
+
+    @pytest.mark.parametrize("command", ["constant-form", "fuchs"])
+    def test_bytes(self, capsys, command):
+        code, out = run_cli(
+            capsys, command, "--json", PINNED_CONDUCTOR5_INPUT, "--exponent-candidates", "0,1/2", "--degree-bound", "3"
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(PINNED_CONDUCTOR5_OUTPUT[command]), indent=2, sort_keys=True) + "\n"
+
+
 # Constants of the same kind whose hom basis has an i-valued entry that the
 # dense Gauss-Jordan elimination left at label 4 and column_kernel computes
 # through a zeta_3 factor, so at label 12.  The stdout below was recorded with

@@ -9,12 +9,13 @@ otherwise; the chains are compared, value and conductor label, with those
 of the dense path they replaced (a dense matrix of the images and the
 dense Gauss-Jordan conftest.dense_nullspace, kept as the oracle), and a
 child process checks that an irregular search over a wide window stays
-fast and small.  G is
-drawn rational, over Q(zeta_12), over Q and Q(zeta_5), and over Q, Q(zeta_3)
-and Q(i): the first three take the packed operator, the last mostly the
-Laurent one.  The gauge checks of find_constant_form
-and fuchs_decomposition use partial(H) + H G = C H in place of base_change,
-which is compared with base_change itself.
+fast and small.  G is drawn rational, over Q(zeta_12), over Q and Q(zeta_5),
+and over Q, Q(zeta_3) and Q(i): rational G takes the packed operator, and
+the other three (conductor12, conductor5 and mixed3and4) take the Laurent
+one.  The gauge checks of find_constant_form and fuchs_decomposition use
+partial(H) + H G = C H in place of base_change, which is compared with
+base_change itself, packed for a rational triple and in the Laurent ring
+otherwise.
 """
 
 import hashlib
@@ -45,10 +46,9 @@ from fuchskit.scalar import Cyclotomic, ExponentClass, _normal
 
 Z12 = Cyclotomic.root_of_unity(12)
 
-# The kinds of coefficients drawn: rational; Q(zeta_12) with every
-# coordinate drawn; rationals and Q(zeta_5) (one label other than 12); and
-# rationals, Q(zeta_3) and Q(i) (two labels, so the search keeps the
-# Laurent arithmetic).
+# The kinds of coefficients drawn: rational (the packed search); Q(zeta_12)
+# with every coordinate drawn; rationals and Q(zeta_5) (one label other
+# than 12); and rationals, Q(zeta_3) and Q(i) (two labels).
 KINDS = [False, True, 5, "mixed"]
 KIND_IDS = ["rational", "conductor12", "conductor5", "mixed3and4"]
 
@@ -101,6 +101,11 @@ def assert_same_image(image, expected, mixed):
         assert c.n == e.n or (mixed and {c.n, e.n} in ({3, 12}, {4, 12})), (key, c.n, e.n)
 
 
+def is_rational(*ms):
+    """Whether every coefficient of the Laurent matrices ms is rational."""
+    return all(c.n == 1 for m in ms for row in m.data for f in row for c in f.terms.values())
+
+
 def terms_and_labels(row):
     """Every coefficient of a row of Laurent polynomials, value and label."""
     return [sorted((d, repr(c), c.n) for d, c in f.terms.items()) for f in row]
@@ -133,18 +138,19 @@ class TestShiftIdentity:
                 assert_same_image(image, top, kind == "mixed")
 
     @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
-    def test_operator_is_packed_unless_two_labels(self, kind):
+    def test_operator_is_packed_iff_rational(self, kind):
         rng = random.Random(f"search-operator:{kind}")
         for dim in (2, 3):
             g = rand_connection(rng, dim, kind)
-            labels = {c.n for row in g.data for f in row for c in f.terms.values()} - {1}
+            rational = is_rational(g)
+            assert rational == (not kind)
             op = _search_operator(g)
-            if len(labels) > 1:
-                assert op is g
-            else:
-                assert isinstance(op, PackedMatrix) and op.label == max(labels, default=1)
-                # unpacking gives back every value and label
+            if rational:
+                assert isinstance(op, PackedMatrix)
+                # unpacking gives back every value, at label 1
                 assert [terms_and_labels(row) for row in op.to_rows()] == [terms_and_labels(row) for row in g.data]
+            else:
+                assert op is g
 
 
 def counted_search(monkeypatch):
@@ -206,18 +212,28 @@ class TestOperatorCalls:
         assert counts["chains"] == counts["chain_lengths"]
 
 
-def perturbed(c, rng):
+def perturbed(c, rng, coeff):
     i, j = rng.randrange(c.rows), rng.randrange(c.cols)
     rows = [list(row) for row in c.data]
-    rows[i][j] = rows[i][j] + LaurentPoly.t_power(rng.randint(-2, 2), Z12)
+    rows[i][j] = rows[i][j] + LaurentPoly.t_power(rng.randint(-2, 2), coeff)
     return Matrix(rows)
 
 
+
 class TestInverseFreeCheck:
-    def test_agrees_with_base_change(self):
-        # G of every kind; the check packs G, H and C at the lcm of their labels
+    def test_agrees_with_base_change(self, monkeypatch):
+        # G of every kind; a rational triple (H, G, C) is packed, three
+        # from_rows calls per check, and any other is checked unpacked
+        packed, from_rows = [], PackedMatrix.from_rows
+
+        def counted_from_rows(rows):
+            packed.append(rows)
+            return from_rows(rows)
+
+        monkeypatch.setattr(PackedMatrix, "from_rows", counted_from_rows)
         rng = random.Random("inverse-free-check")
         sizes = Sizes(max_dim=3)
+        routes = set()
         for trial in range(16):
             dim = 1 + trial % 3
             m = DiffModule(rand_connection(rng, dim, KINDS[trial % 4]))
@@ -229,10 +245,18 @@ class TestInverseFreeCheck:
                 h = u.map(LaurentPoly.from_scalar) * h
             assert diffmod.det_cofactor(h).is_unit
             c = base_change(m, h).matrix
+            rational = is_rational(m.matrix, h, c)
+            routes.add(rational)
+            packed.clear()
             assert _gauge_gives(m, h, c)
-            bad = perturbed(c, rng)
+            assert len(packed) == (3 if rational else 0)
+            # a rational perturbation keeps a rational triple on its route
+            bad = perturbed(c, rng, Cyclotomic.from_rat(Rat(1, 2)) if rational else Z12)
             assert base_change(m, h).matrix != bad
+            packed.clear()
             assert not _gauge_gives(m, h, bad)
+            assert len(packed) == (3 if rational else 0)
+        assert routes == {True, False}
 
     def test_search_and_fuchs_take_no_inverse(self, monkeypatch):
         m = sheared_module()
