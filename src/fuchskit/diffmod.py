@@ -30,7 +30,7 @@ from .linalg import (
 )
 from .ratio import Rat
 from .scalar import Cyclotomic, ExponentClass, as_cyclotomic
-from .expring import ExpRingElem
+from .expring import ExpRingElem, coordinates
 
 
 def _as_laurent_entry(x):
@@ -216,26 +216,21 @@ def twist_derivation(m, h):
 # solutions of constant-matrix modules
 
 
-def exp_ell_n(size):
-    """exp(-ell * N) over E_A for the nilpotent part N of a Jordan block:
-    upper triangular Toeplitz with (-1)^j ell^j / j! on the j-th diagonal."""
+def _block_fundamental(a_value, size):
+    """t^{-a} * exp(-ell N) for the Jordan block J(a, size): upper triangular
+    Toeplitz with t^{-a} (-1)^j ell^j / j! on the j-th diagonal, whose
+    columns are horizontal for the connection v -> partial(v) + J(a,size) v."""
+    t_neg_a = ExpRingElem.t_power(-a_value)
     ell = ExpRingElem.ell_var()
     z = ExpRingElem.zero()
     entries = [[z] * size for _ in range(size)]
     ell_pow = ExpRingElem.one()
     for j in range(size):
-        term = ell_pow * Rat((-1) ** j, factorial(j))
+        term = t_neg_a * (ell_pow * Rat((-1) ** j, factorial(j)))
         for i in range(size - j):
             entries[i][i + j] = term
         ell_pow = ell_pow * ell
     return Matrix(entries)
-
-
-def _block_fundamental(a_value, size):
-    """t^{-a} * exp(-ell N) for the Jordan block J(a, size): the columns are
-    horizontal for the connection v -> partial(v) + J(a,size) v."""
-    t_neg_a = ExpRingElem.t_power(-a_value)
-    return exp_ell_n(size).map(lambda e: t_neg_a * e)
 
 
 def fundamental_matrix(module):
@@ -256,7 +251,7 @@ def fundamental_matrix(module):
         blocks.append(_block_fundamental(rv, size))
     p = jd.transform.map(ExpRingElem.from_scalar)
     p_inv = jd.transform.inverse().map(ExpRingElem.from_scalar)
-    return p * Matrix.block_diag(blocks, ring=ExpRingElem) * p_inv
+    return p * Matrix.block_diag(blocks) * p_inv
 
 
 def expring_matrix_is_horizontal(u, g):
@@ -283,16 +278,10 @@ def expring_unit_inverse(x):
 
 def match_right_factor(u, v):
     """The constant matrix R with V = U * R (columns of V in the span of the
-    columns of U over K); raises if no exact unique solution exists.
-
-    One rref (one column_kernel) of the coordinates of [U | V]: R is unique
-    exactly when the pivots are the columns of U, and it is then the top
-    right block."""
-    coords = _expring_coordinates(u.columns() + v.columns())
-    red, pivots = Matrix.from_columns(coords).rref()
-    if pivots != tuple(range(u.cols)):
-        raise ArithmeticError("no unique constant factor")
-    return Matrix([row[u.cols :] for row in red.data[: u.cols]])
+    columns of U over K); raises if no exact unique solution exists."""
+    columns = [{(comp, *key): c for comp, x in enumerate(vec) for key, c in coordinates(x).items()}
+               for vec in u.columns() + v.columns()]
+    return _constant_factor(columns, u.cols)
 
 
 def match_left_factor(w, v):
@@ -300,27 +289,19 @@ def match_left_factor(w, v):
     return match_right_factor(w.transpose(), v.transpose()).transpose()
 
 
-def _expring_coordinates(vectors):
-    """Exact coordinate vectors of ExpRing vectors in their joint monomial
-    support, ordered deterministically."""
-    keys = set()
-    for vec in vectors:
-        for comp, x in enumerate(vec):
-            for k, gpart in enumerate(x.ell):
-                for a, f in gpart.parts.items():
-                    for d in f.terms:
-                        keys.add((comp, a.value, k, d))
-    index = {key: i for i, key in enumerate(sorted(keys))}
-    out = []
-    for vec in vectors:
-        coords = [Cyclotomic.zero()] * len(index)
-        for comp, x in enumerate(vec):
-            for k, gpart in enumerate(x.ell):
-                for a, f in gpart.parts.items():
-                    for d, c in f.terms.items():
-                        coords[index[(comp, a.value, k, d)]] = c
-        out.append(coords)
-    return out
+def _constant_factor(columns, k):
+    """The R with V = U R for the columns [U | V], given as dicts from
+    sortable coordinate keys to entries, U the first k of them.
+
+    One rref (one column_kernel) of the columns over their joint keys, in
+    key order: R is unique exactly when the pivots are the columns of U, and
+    it is then the top right block."""
+    keys = sorted(set().union(*columns))
+    zero = Cyclotomic.zero()
+    red, pivots = Matrix.from_columns([[col.get(key, zero) for key in keys] for col in columns]).rref()
+    if pivots != tuple(range(k)):
+        raise ArithmeticError("no unique constant factor")
+    return Matrix([row[k:] for row in red.data[:k]])
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +326,11 @@ def _sylvester_operator(c_m, c_n):
 
 
 def horizontal_hom(m1, m2):
-    """Basis of Hom^nabla(M1, M2) over A for constant connection matrices."""
+    """Basis of Hom^nabla(M1, M2) over A for constant connection matrices,
+    over the standard derivation (a twisted module raises
+    DerivationMismatch: its modes are not the integers k)."""
     m1._same_derivation(m2)
+    m1.require_standard_derivation()
     c1, c2 = m1.constant_matrix(), m2.constant_matrix()
     return _hom_basis(c1, c2, eigenvalues(c1), eigenvalues(c2))
 
@@ -378,8 +362,11 @@ def is_horizontal_morphism(f, m1, m2):
 
 
 def h1_dimension(module):
-    """dim coker(nabla) on A^n for a constant matrix: each integer eigenvalue
-    contributes its geometric multiplicity (one per Jordan block)."""
+    """dim coker(nabla) on A^n for a constant matrix over the standard
+    derivation: each integer eigenvalue contributes its geometric
+    multiplicity (one per Jordan block).  A twisted module raises
+    DerivationMismatch."""
+    module.require_standard_derivation()
     c = module.constant_matrix()
     return sum(g for _, g in integer_eigenvalues(c))
 

@@ -27,8 +27,8 @@ from .diffmod import (
     constant_matrix_of,
     dual,
     expring_matrix_is_horizontal,
+    _constant_factor,
     horizontal_hom,
-    match_left_factor,
     tensor,
 )
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     NotFoundWithinBounds,
     NotRegularWithinBounds,
 )
-from .expring import ExpRingElem, GroupAlgElem
+from .expring import ExpRingElem, GroupAlgElem, binom_ell_poly
 from .laurent import LaurentPoly, PackedMatrix, kernel_partial_plus, kernel_partial_square
 from .linalg import (
     Matrix,
@@ -301,25 +301,42 @@ def _section_search(module, g, exponent_candidates, laurent_degree_bound):
 
 
 def _seed_block_inverse(lam, size):
-    """t^(a+sc) Z0^-1 for J(a, size) with monodromy exactly J(lam, size),
-    where the rows of Z0 are lam^i e_1^T X^i, X = exp(-N) - I.  The seeds
-    of the block have class sc = -a, so a + sc is 0 for lam = 1, else 1."""
-    zero_c, one_c = Cyclotomic.zero(), Cyclotomic.one()
-    x = Matrix(
-        [
-            [Cyclotomic.from_rat(Rat((-1) ** (j - i), factorial(j - i))) if j > i else zero_c for j in range(size)]
-            for i in range(size)
-        ]
-    )
-    rows = []
-    current = [one_c] + [zero_c] * (size - 1)
-    lam_pow = one_c
-    for i in range(size):
-        rows.append([lam_pow * c for c in current])
-        current = (Matrix([current]) * x).data[0] if i + 1 < size else current
-        lam_pow = lam_pow * lam
+    """t^(a+sc) Z0^-1 for J(a, size) with monodromy exactly J(lam, size).
+
+    Row i of Z0 is lam^i e_1^T X^i with X = exp(-N) - I, that is lam^i times
+    the coefficients of (e^(-x) - 1)^i in x.  Put u = e^(-x) - 1, so
+    x = -log(1 + u) and e^(ell x) = (1 + u)^(-ell) = sum_i binom(-ell, i) u^i;
+    the ell^j coefficients give x^j = j! sum_i [ell^j] binom(-ell, i) u^i.
+    So entry (j, i) of Z0^-1 is lam^(-i) j! (-1)^j [ell^j] binom(ell, i),
+    read off expring.binom_ell_poly with no inverse of Z0.  The seeds of the
+    block have class sc = -a, so a + sc is 0 for lam = 1, else 1."""
     shift = 0 if lam == 1 else 1
-    return Matrix(rows).inverse().map(lambda z: LaurentPoly({shift: z}))
+    scales = [lam ** -i for i in range(size)]
+
+    def entry(j, i):
+        c = (-1) ** j * factorial(j) * binom_ell_poly(i)[j] if j <= i else 0
+        return LaurentPoly({shift: scales[i] * Cyclotomic.from_rat(c)})
+
+    return Matrix([[entry(j, i) for i in range(size)] for j in range(size)])
+
+
+def _section_monodromy(sections):
+    """The R with sigma(W) = R W for n independent sections (sc, chain) of
+    _section_search, read off the ell^0 rows t^sc w_0 and
+    gamma(sc) t^sc sum_k w_k: the E_A coordinates of each row, keyed
+    (component, class, 0, t-degree) as match_left_factor keys them, are one
+    column of [U | V] with V = U R^T."""
+    n = len(sections)
+
+    def seed_columns(rows):
+        return [{(j, sc.value, 0, d): c for j, f in enumerate(row) for d, c in f.terms.items()}
+                for (sc, _), row in zip(sections, rows)]
+
+    w0 = [chain[0] for _, chain in sections]
+    # the ell^0 rows of sigma(W), summed over k in increasing order as ExpRingElem.sigma does
+    sigma_w0 = [[sum((w[j] * gamma(sc) for w in chain[1:]), chain[0][j] * gamma(sc)) for j in range(n)]
+                for sc, chain in sections]
+    return _constant_factor(seed_columns(w0) + seed_columns(sigma_w0), n).transpose()
 
 
 def _gauge_gives(module, h, c):
@@ -366,11 +383,16 @@ def find_constant_form(
     coefficients follow by w_{k+1} = -T(w_k)/(k+1).  If n independent
     sections W exist, their monodromy R (sigma(W) = R W) is read off the
     ell^0 rows: the ell^0 part of sigma(t^sc sum_k w_k ell^k) is
-    gamma(sc) t^sc sum_k w_k, and the seeds are independent.  With
+    gamma(sc) t^sc sum_k w_k, and the seeds are independent, so R is the
+    one constant factor of the E_A coordinates of those rows (see
+    _section_monodromy).  With
     R = Q J Q^-1 in Jordan form and W_C = t^-a Z0 exp(-ell N) the row
     solutions of the constant matrix C dictated by J, the gauge
     H = W_C^-1 Q^-1 W is sigma-invariant, so it lies in A and equals its
     ell^0 part t^a Z0^-1 Q^-1 W_0; all of this is computed over A and K.
+    Per block J(lam, size), entry (j, i) of Z0^-1 is
+    lam^(-i) j! (-1)^j [ell^j] binom(ell, i), the expansion of x^j in powers
+    of u = e^(-x) - 1 (see _seed_block_inverse); no matrix is inverted.
     G' = C is checked as partial(H) + H G = C H, and then H is certified
     invertible by the value of det H at t = 1 (see _horizontal_is_invertible).
 
@@ -390,16 +412,8 @@ def find_constant_form(
     if len(sections) > n:
         raise AssertionError("solution space exceeds the rank; this is a bug")
 
-    def ell0_rows(rows):
-        return Matrix([[ExpRingElem.from_groupalg(GroupAlgElem({sc: f})) for f in row]
-                       for (sc, _), row in zip(sections, rows)])
-
-    w0 = [chain[0] for _, chain in sections]
-    # the ell^0 rows of sigma(W), summed over k in increasing order as ExpRingElem.sigma does
-    sigma_w0 = [[sum((w[j] * gamma(sc) for w in chain[1:]), chain[0][j] * gamma(sc)) for j in range(n)]
-                for sc, chain in sections]
-    jd = jordan_form(match_left_factor(ell0_rows(w0), ell0_rows(sigma_w0)))
-    q_inv_w0 = jd.transform.inverse().map(LaurentPoly.from_scalar) * Matrix(w0)
+    jd = jordan_form(_section_monodromy(sections))
+    q_inv_w0 = jd.transform.inverse().map(LaurentPoly.from_scalar) * Matrix([chain[0] for _, chain in sections])
     h = Matrix.block_diag([_seed_block_inverse(lam, size) for lam, size in jd.blocks]) * q_inv_w0
     c = _rm_of_blocks(jd.blocks)
     if not _gauge_gives(module, h, c.map(LaurentPoly.from_scalar)):

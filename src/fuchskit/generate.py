@@ -40,10 +40,9 @@ def rand_cyclotomic(rng, sizes):
     return Cyclotomic(n, [rand_rat(rng, sizes) for _ in range(euler_phi(n))])
 
 
-def rand_laurent(rng, sizes, terms=None):
-    terms = rng.randint(0, 3) if terms is None else terms
+def rand_laurent(rng, sizes):
     out = {}
-    for _ in range(terms):
+    for _ in range(rng.randint(0, 3)):
         out[rng.randint(-sizes.max_degree, sizes.max_degree)] = Cyclotomic.from_rat(rand_rat(rng, sizes))
     return LaurentPoly(out)
 
@@ -59,14 +58,14 @@ def rand_expring(rng, sizes):
     return ExpRingElem([rand_groupalg(rng, sizes) for _ in range(rng.randint(0, sizes.max_ell_degree))])
 
 
-def rand_invertible_constant(rng, dim, spread=2):
+def rand_invertible_constant(rng, dim):
     """Unipotent lower times unipotent upper: determinant exactly 1."""
     lo = [
-        [Cyclotomic.from_rat(1 if i == j else (rng.randint(-spread, spread) if i > j else 0)) for j in range(dim)]
+        [Cyclotomic.from_rat(1 if i == j else (rng.randint(-2, 2) if i > j else 0)) for j in range(dim)]
         for i in range(dim)
     ]
     up = [
-        [Cyclotomic.from_rat(1 if i == j else (rng.randint(-spread, spread) if i < j else 0)) for j in range(dim)]
+        [Cyclotomic.from_rat(1 if i == j else (rng.randint(-2, 2) if i < j else 0)) for j in range(dim)]
         for i in range(dim)
     ]
     return Matrix(lo) * Matrix(up)

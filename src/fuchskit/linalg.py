@@ -69,8 +69,8 @@ class Matrix:
         return cls([[z] * cols for _ in range(rows)])
 
     @classmethod
-    def block_diag(cls, blocks, ring=None):
-        ring = ring or type(blocks[0].data[0][0])
+    def block_diag(cls, blocks):
+        ring = type(blocks[0].data[0][0])
         n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
         z = ring.zero()

@@ -117,7 +117,7 @@ def trivialize(v):
                 entries[i][k] = t_a * scale * _triv_poly(k - i)
         blocks.append(Matrix(entries))
     p = jd.transform.map(ExpRingElem.from_scalar)
-    return p * Matrix.block_diag(blocks, ring=ExpRingElem)
+    return p * Matrix.block_diag(blocks)
 
 
 def is_trivializing(v, b):

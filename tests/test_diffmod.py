@@ -37,6 +37,7 @@ from fuchskit.errors import (
     NotInvertibleOverA,
 )
 from fuchskit.expring import ExpRingElem
+from fuchskit.functors import horizontal_isomorphism
 from fuchskit.generate import Sizes, rand_constant_module, rand_shearing_gauge
 from fuchskit.laurent import LaurentPoly
 from fuchskit.linalg import Matrix, jordan_form
@@ -172,6 +173,21 @@ class TestTwist:
         tw = twist_derivation(rank_one(0), LaurentPoly.from_scalar(-1))
         with pytest.raises(DerivationMismatch):
             tensor(tw, rank_one(0))
+
+    def test_hom_ext_and_h1_refuse_a_twist(self):
+        # over 2 t d/dt the connection of Hom(N(0), N(1)) acts on the mode
+        # t^k by 2k + 1, never 0; the integer modes of t d/dt gave t^-1
+        m1 = twist_derivation(rank_one(0), 2)
+        m2 = twist_derivation(rank_one(1), 2)
+        assert not is_horizontal_morphism(laurent_matrix([[LaurentPoly.t_power(-1)]]), m1, m2)
+        for call in (
+            lambda: horizontal_hom(m1, m2),
+            lambda: horizontal_isomorphism(m1, m2),
+            lambda: ext_dim(m1, m2),
+            lambda: h1_dimension(m2),
+        ):
+            with pytest.raises(DerivationMismatch):
+                call()
 
 
 class TestInvertCoordinate:
