@@ -8,7 +8,6 @@ isomorphism class.  All constructions (tensor, dual, Hom, extensions) are
 matrix-level and exact.
 """
 
-from dataclasses import dataclass
 from math import factorial
 
 from .errors import (
@@ -308,11 +307,13 @@ def _constant_factor(columns, k):
 # horizontal morphisms and extension groups (constant matrices)
 
 
-@dataclass
 class HorizontalSpace:
     """Exact basis of the solutions with values in A of Hom(M, N)."""
 
-    basis: list
+    __slots__ = ("basis",)
+
+    def __init__(self, basis):
+        self.basis = basis
 
     @property
     def dimension(self):

@@ -17,7 +17,6 @@ window's integer seed images go to linalg's certified modular elimination;
 a rational triple (H, G, C) is gauge-checked, partial(H) + H G = C H, packed.
 """
 
-from dataclasses import dataclass
 from math import comb, factorial, lcm
 
 from .diffmod import (
@@ -56,19 +55,30 @@ from .sigmamod import SigmaModule, hom_dim
 DEFAULT_DEGREE_BOUND = 8
 
 
-@dataclass
 class ConstantForm:
     """gauge H and constant matrix C with partial(H)H^-1 + H G H^-1 = C."""
 
-    gauge: Matrix  # over LaurentPoly
-    constant: Matrix  # over Cyclotomic
+    __slots__ = ("gauge", "constant")
+
+    def __init__(self, gauge, constant):
+        self.gauge = gauge  # over LaurentPoly
+        self.constant = constant  # over Cyclotomic
 
 
-@dataclass(frozen=True)
 class ExponentMultiset:
-    """Multiset of exponent classes in [0,1), sorted, one entry per dimension."""
+    """Multiset of exponent classes in [0,1), sorted, one entry per dimension;
+    equal (and hashed) by its entries."""
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __eq__(self, other):
+        return self.entries == other.entries if isinstance(other, ExponentMultiset) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @classmethod
     def from_classes(cls, classes):
@@ -110,17 +120,12 @@ def default_exponent_candidates(module):
 # bounded search for horizontal sections (row form)
 
 
-def _labels(m):
-    """The conductor labels of the coefficients of a Laurent matrix."""
-    return {c.n for row in m.data for f in row for c in f.terms.values()}
-
-
 def _search_operator(g):
     """G for the window search: packed (laurent.PackedMatrix) when it is
     rational, else the Laurent matrix itself, whose arithmetic gives the
     labels the library prints.  For G with a single irrational label both
     would print label L or 1 by value; the Laurent ring keeps one rule."""
-    return PackedMatrix.from_rows(g.data) if _labels(g) <= {1} else g
+    return PackedMatrix.from_rows(g.data) if LaurentPoly.labels(f for row in g.data for f in row) <= {1} else g
 
 
 def _apply_packed_operator(g, a, w):
@@ -348,7 +353,7 @@ def _gauge_gives(module, h, c):
     Laurent ring.  The answer is a value comparison either way."""
     module.require_standard_derivation()
     g = module.matrix
-    if _labels(h) | _labels(g) | _labels(c) <= {1}:
+    if LaurentPoly.labels(f for m in (h, g, c) for row in m.data for f in row) <= {1}:
         hp, gp, cp = (PackedMatrix.from_rows(m.data) for m in (h, g, c))
         return hp.partial_plus(0) + hp * gp == cp * hp
     return h.map(LaurentPoly.partial) + h * g == c * h
@@ -499,15 +504,17 @@ def _exponent_multiset(spectrum):
         [ExponentClass.from_scalar(lam) for lam, count in spectrum for _ in range(count)])
 
 
-@dataclass
 class FuchsDecomposition:
     """Triangularizing gauge, the Jordan constant matrix, and the ordered
     rank-one factors N(a_i) read off its diagonal."""
 
-    gauge: Matrix  # over LaurentPoly
-    triangular: Matrix  # over Cyclotomic, block upper triangular (Jordan)
-    factors: list  # diagonal entries, one per rank-one sub-quotient
-    exponent_multiset: ExponentMultiset
+    __slots__ = ("gauge", "triangular", "factors", "exponent_multiset")
+
+    def __init__(self, gauge, triangular, factors, exponent_multiset):
+        self.gauge = gauge  # over LaurentPoly
+        self.triangular = triangular  # over Cyclotomic, block upper triangular (Jordan)
+        self.factors = factors  # diagonal entries, one per rank-one sub-quotient
+        self.exponent_multiset = exponent_multiset
 
 
 def fuchs_decomposition(module, **opts):

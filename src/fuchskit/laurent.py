@@ -149,6 +149,35 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def labels(values):
+        """The conductor labels of the coefficients of the values."""
+        return {c._n for f in values for c in f.terms.values()}
+
+    @staticmethod
+    def sum_of_products(xs, ys, n):
+        """sum x*y over the pairs, for coefficient labels 1 and n only: the
+        coefficient products bucketed by degree, one Cyclotomic
+        sum_of_products per degree, zero sums dropped."""
+        buckets = {}
+        for x, y in zip(xs, ys):
+            for d1, c1 in x.terms.items():
+                for d2, c2 in y.terms.items():
+                    pair = buckets.get(d1 + d2)
+                    if pair is None:
+                        buckets[d1 + d2] = [c1], [c2]
+                    else:
+                        pair[0].append(c1)
+                        pair[1].append(c2)
+        out = {}
+        for d, (cs1, cs2) in buckets.items():
+            c = Cyclotomic.sum_of_products(cs1, cs2, n)
+            if not c.is_zero:
+                out[d] = c
+        result = LaurentPoly()
+        object.__setattr__(result, "terms", out)
+        return result
+
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms

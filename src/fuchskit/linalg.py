@@ -6,6 +6,16 @@ one() classmethods and the usual operators.  Its field algorithms need
 Cyclotomic entries: nullspace is column_kernel of the columns, and rref
 (so rank and inverse) reads the reduced form off that kernel basis.
 
+Every product and every step of Berkowitz's algorithm is a sum of products
+(_dot).  A ring may provide a fused one, sum_of_products(xs, ys, n), as
+Cyclotomic, LaurentPoly and ExpRingElem do: one reduction modulo Phi_n and
+one gcd per coefficient instead of one per term.  Its bytes are the left
+fold's by the label rule: the fold's label is the lcm of the labels met,
+demoted to 1 only at a rational value, so when the coefficients carry
+labels 1 and one n, every partial sum is at 1 or n, 1 exactly when
+rational, and the label follows from the value.  With two or more
+irrational labels the fold runs as it is, in its order.
+
 column_kernel takes rational columns modulo primes and certifies the lifted
 basis exactly (each vector in the kernel, cols - rank mod l of them); columns
 with an irrational entry keep the Cyclotomic elimination, whose labels the
@@ -18,7 +28,6 @@ that can occur, so the search is a decision, and anything else is an honest
 EigenvalueNotFound instead of an approximation.
 """
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import add, sub
@@ -43,11 +52,11 @@ class Matrix:
     __hash__ = None
 
     def __init__(self, data):
-        data = tuple(tuple(row) for row in data)
+        data = tuple(map(tuple, data))
         if not data or not data[0]:
             raise ValueError("matrix must be nonempty")
         cols = len(data[0])
-        if any(len(row) != cols for row in data):
+        if len(set(map(len, data))) != 1:
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
@@ -130,14 +139,14 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            bt = other.transpose().data
-            return Matrix(
-                [[_dot(row, col) for col in bt] for row in self.data]
-            )
+            label = _fused_label(self.data, other.data) if self.cols > 1 else None  # else one-term sums
+            columns = list(zip(*other.data))
+            return Matrix([[_dot(row, col, label) for col in columns] for row in self.data])
         if isinstance(other, (list, tuple)):
             if self.cols != len(other):
                 raise ValueError("shape mismatch")
-            return [_dot(row, other) for row in self.data]
+            label = _fused_label(self.data, [other]) if self.cols > 1 else None
+            return [_dot(row, other, label) for row in self.data]
         return NotImplemented
 
     def scale(self, s):
@@ -435,7 +444,31 @@ def _reconstructed(residues, modulus, bound):
     return den, nums
 
 
-def _dot(xs, ys):
+def _fused_label(*blocks):
+    """The label n at which _dot may take the ring's sum_of_products over
+    the entries of these blocks of rows: when they all have one type whose
+    ring has one, and their coefficients carry the label 1 and at most one
+    n > 1 (n = 1 for rational ones).  Else None, for the left fold: with two
+    or more irrational labels, a value's label depends on the order of the
+    operations that made it, and only the fold reproduces it.  A product or
+    Berkowitz's algorithm makes no label outside those of its operands, so
+    this is decided once per call, not per sum."""
+    values = [x for rows in blocks for row in rows for x in row]
+    ring = type(values[0])
+    if set(map(type, values)) != {ring} or not hasattr(ring, "sum_of_products"):
+        return None
+    labels = ring.labels(values) - {1}
+    if len(labels) > 1:
+        return None
+    return labels.pop() if labels else 1
+
+
+def _dot(xs, ys, label=None):
+    """sum x*y over the pairs: the ring's sum_of_products at the label
+    _fused_label found, or the left fold acc + x*y for label None and for a
+    one-term sum, the product itself."""
+    if label is not None and len(xs) > 1:
+        return type(xs[0]).sum_of_products(xs, ys, label)
     it = zip(xs, ys)
     x, y = next(it)
     acc = x * y
@@ -452,21 +485,24 @@ def _berkowitz(m):
     time; its polynomial is a lower-triangular Toeplitz matrix with first
     column 1, -a_kk, -R C, -R A C, -R A^2 C, ... times the previous one, where
     R, C are row and column k beside the submatrix A = a[k+1:, k+1:].  The
-    list t below holds that column without its leading 1.
+    list t below holds that column without its leading 1, and each new
+    coefficient is one sum of products, the old coefficient entering times 1.
     """
     if not m.is_square:
         raise NonSquare("characteristic polynomial of a non-square matrix")
     n, a = m.rows, m.data
-    vec = [m.ring.one()]  # descending coefficients
+    label = _fused_label(a) if n > 1 else None  # a 1 x 1 matrix takes no sum
+    one, zero = m.ring.one(), m.ring.zero()
+    vec = [one]  # descending coefficients
     for k in range(n - 1, -1, -1):
         row = a[k][k + 1 :]
         col = [a[i][k] for i in range(k + 1, n)]
         t = [-a[k][k]]
         for i in range(n - k - 1):
             if i:
-                col = [_dot(a[r][k + 1 :], col) for r in range(k + 1, n)]
-            t.append(-_dot(row, col))
-        vec = vec[:1] + [x + _dot(t[i - 1 :: -1], vec) for i, x in enumerate(vec[1:] + [m.ring.zero()], 1)]
+                col = [_dot(a[r][k + 1 :], col, label) for r in range(k + 1, n)]
+            t.append(-_dot(row, col, label))
+        vec = vec[:1] + [_dot(t[i - 1 :: -1] + [x], vec[:i] + [one], label) for i, x in enumerate(vec[1:] + [zero], 1)]
     return vec[::-1]
 
 
@@ -701,13 +737,14 @@ def integer_eigenvalues(m):
 # Jordan normal form
 
 
-@dataclass
 class JordanData:
     """blocks: list of (eigenvalue, size), canonically ordered; transform P
     satisfies P^-1 * M * P = block diagonal of J(eigenvalue, size)."""
 
-    blocks: list
-    transform: Matrix
+    __slots__ = ("blocks", "transform")
+
+    def __init__(self, blocks, transform):
+        self.blocks, self.transform = blocks, transform
 
     def jordan_matrix(self):
         return Matrix.block_diag([jordan_block(lam, size) for lam, size in self.blocks])

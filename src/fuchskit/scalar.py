@@ -6,8 +6,9 @@ label N, the integer numerators of its coordinates in the power basis
 1, z, ..., z^(phi(N)-1), always reduced modulo the N-th cyclotomic
 polynomial, and one positive common denominator, coprime to them (the form
 of FLINT/Antic's fmpq_poly and nf_elem).  A product is an integer
-convolution reduced by the monic integer Phi_N and normalised by one gcd;
-an inverse is an integer pseudo-remainder extended gcd.  Zero tests are
+convolution reduced by the monic integer Phi_N and normalised by one gcd,
+and a sum of products (sum_of_products) is reduced and normalised once; an
+inverse is an integer pseudo-remainder extended gcd.  Zero tests are
 exact and O(1); there is no floating point anywhere.
 
 Labels are not minimal: the label of a sum, difference or product is the
@@ -15,7 +16,9 @@ lcm of the operands' labels, demoted only to 1 for a rational value.  This
 rule fixes every encoded output, so it is part of the behaviour.
 
 z^e is a unit vector for e < phi(N), and z^(N/2) = -1 folds e for even N;
-any other power, and any embedding, is one polynomial reduced modulo Phi_N.
+any other power is the remainder of x^e by Phi_N, read off power series
+through the factors (1 - x^d)^mu(r/d) of Phi_N, and an embedding is one
+polynomial reduced modulo Phi_N.
 as_root_of_unity finds its exponent from the element's image in F_l,
 l = 1 (mod N), and confirms that one candidate exactly.  Per conductor only
 phi(N), Phi_N and the pairs (l, w) are cached.
@@ -139,26 +142,45 @@ def _divmod_monic(num, den):
     return q, r[:k]
 
 
+def _cyclotomic_factors(primes):
+    """Phi_r, for r > 1 the product of the given primes, as a product of power
+    series (1 - x^d)^(-1 or 1): pairs (d, whether it divides).
+    Phi_r = prod_{d | r} (1 - x^d)^mu(r/d) (Arnold and Monagan 2011)."""
+    factors = [(1, len(primes) % 2 == 1)]
+    for p in primes:
+        for d, divide in factors[:]:
+            factors.append((d * p, not divide))
+    return factors
+
+
+def _times_cyclotomic(series, factors, inverse=False):
+    """The power series (ascending coefficients, a list changed in place) times
+    Phi_r, or divided by it, cut at its length, one pass per factor of
+    _cyclotomic_factors."""
+    size = len(series)
+    for d, divide in factors:
+        if d >= size:
+            continue
+        if divide == inverse:
+            for i in range(size - 1, d - 1, -1):
+                series[i] -= series[i - d]
+        else:
+            for i in range(d, size):
+                series[i] += series[i - d]
+    return series
+
+
 def cyclotomic_polynomial(n):
     """Coefficients (ascending) of the n-th cyclotomic polynomial, as ints.
 
     Phi_n(x) = Phi_r(x^(n/r)) for r the product of the primes of n, and for
-    r > 1, Phi_r = prod_{d | r} (1 - x^d)^mu(r/d) as a power series cut at
-    degree phi(r), one pass per divisor (Arnold and Monagan 2011).
+    r > 1, Phi_r is a power series cut at degree phi(r) (_times_cyclotomic).
     """
     if n not in _CYCLO_CACHE:
         primes = list(_factorize(n))
         r = prod(primes)
-        poly = [-1, 1] if r == 1 else [1] + [0] * euler_phi(r)
-        top = len(poly) - 1
-        for d in divisors(r)[:-1]:
-            if sum(d % p != 0 for p in primes) % 2:  # divide by 1 - x^d
-                for i in range(d, top + 1):
-                    poly[i] += poly[i - d]
-            else:
-                for i in range(top, d - 1, -1):
-                    poly[i] -= poly[i - d]
-        full = [0] * (n // r * top + 1)
+        poly = [-1, 1] if r == 1 else _times_cyclotomic([1] + [0] * euler_phi(r), _cyclotomic_factors(primes))
+        full = [0] * (n // r * (len(poly) - 1) + 1)
         full[:: n // r] = poly
         _CYCLO_CACHE[n] = tuple(full)
     return _CYCLO_CACHE[n]
@@ -292,17 +314,39 @@ class Cyclotomic:
     @classmethod
     def root_of_unity(cls, q, p=1):
         """zeta_q^p: for e = p mod q, folded by z^(q/2) = -1 for even q, a unit
-        vector when e < phi(q), else z^(e - phi(q)) times
-        z^phi(q) = -(Phi_q(z) - z^phi(q)), reduced once."""
+        vector when e < phi(q), else the remainder of x^e by Phi_q.
+
+        Phi_q(x) = Phi_r(y) for y = x^s, r = q/s the product of the primes of
+        q (Phi_r has -mu(r) != 0 at y, so s is the first degree past 0 in
+        Phi_q), and x^e = x^b y^a for e = a s + b, b < s: the remainder is
+        x^b times that of y^a by Phi_r, spread to every s-th coordinate.  For
+        a = phi(r) that is minus the lower coefficients of Phi_r.  Past it,
+        Phi_r is palindromic, so the quotient of y^a, read backwards, is the
+        power series 1/Phi_r cut at degree a - phi(r), and the remainder is
+        minus the low phi(r) coefficients of the quotient times Phi_r: two
+        runs of _times_cyclotomic, (a + phi(r)) d(r) steps, where a long
+        division takes (e - phi(q)) nnz(Phi_q)."""
         if q < 1:
             raise ValueError("order must be positive")
-        e, sign, phi, cyclo = p % q, 1, euler_phi(q), cyclotomic_polynomial(q)
+        e, sign, phi = p % q, 1, euler_phi(q)
         if q % 2 == 0 and e >= q // 2:
             e, sign = e - q // 2, -1
         if e < phi:
             return _normal(q, [0] * e + [sign] + [0] * (phi - e - 1), 1)
-        low = [-sign * c for c in cyclo[:phi]]
-        return _normal(q, _divmod_monic([0] * (e - phi) + low, cyclo)[1], 1)
+        cyclo, s = cyclotomic_polynomial(q), 1
+        while not cyclo[s]:
+            s += 1
+        (a, b), phi_r = divmod(e, s), phi // s
+        if a == phi_r:
+            low = [-sign * c for c in cyclo[:phi:s]]
+        else:
+            factors = _cyclotomic_factors(list(_factorize(q)))
+            # the quotient times -sign, backwards
+            backwards = _times_cyclotomic([-sign] + [0] * (a - phi_r), factors, inverse=True)
+            low = _times_cyclotomic((backwards[::-1] + [0] * phi_r)[:phi_r], factors)
+        num = [0] * phi
+        num[b::s] = low
+        return _normal(q, num, 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -416,6 +460,59 @@ class Cyclotomic:
         return _normal(m, num, self._den * other._den)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def labels(values):
+        """The conductor labels of the values."""
+        return {x._n for x in values}
+
+    @staticmethod
+    def sum_of_products(xs, ys, n):
+        """sum x*y over the pairs, for labels 1 and n only (n = 1: all
+        rational): the convolutions, unreduced, go into one integer list over
+        one denominator, with one reduction modulo Phi_n (when there was a
+        convolution) and one gcd at the end, and a rational factor scales the
+        other factor's numerators, as in __mul__.  It is the left fold's value
+        at the fold's label, since each partial sum of the fold is at label 1
+        or n, 1 exactly when it is rational; a one-term sum is the product
+        itself."""
+        if len(xs) == 1:
+            return xs[0] * ys[0]
+        if n == 1:
+            num, den = 0, 1
+            for x, y in zip(xs, ys):
+                a, b = x._num[0] * y._num[0], x._den * y._den
+                if b != den:
+                    g = gcd(den, b)
+                    num, a, den = num * (b // g), a * (den // g), den // g * b
+                num += a
+            return _rat(num, den)
+        phi = euler_phi(n)
+        acc, den = [0] * phi, 1
+        for x, y in zip(xs, ys):
+            scale, b = 1, x._den * y._den
+            if b != den:
+                g = gcd(den, b)
+                if b != g:
+                    acc = [c * (b // g) for c in acc]
+                scale, den = den // g, den // g * b
+            if x._n == 1 or y._n == 1:
+                r, v = (x, y) if x._n == 1 else (y, x)
+                c = r._num[0] * scale
+                if c:
+                    for i, a in enumerate(v._num):
+                        acc[i] += a * c
+                continue
+            if len(acc) == phi:
+                acc += [0] * (phi - 1)  # room for unreduced convolutions
+            bs = [(j, b * scale) for j, b in enumerate(y._num) if b]
+            for i, a in enumerate(x._num):
+                if a:
+                    for j, b in bs:
+                        acc[i + j] += a * b
+        if len(acc) > phi:
+            acc = _divmod_monic(acc, cyclotomic_polynomial(n))[1]
+        return _normal(n, acc, den)
 
     def inverse(self):
         if self.is_zero:

@@ -640,3 +640,24 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+
+class TestStartUp:
+    """Every CLI process pays for what `import fuchskit.cli` loads."""
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # a fresh interpreter, compared with the modules present before the
+        # import, as in the "Standard library only" CI step
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fuchskit"].__file__)))
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import fuchskit.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "fuchskit.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})

@@ -8,14 +8,13 @@ verified by exact reconstruction P^-1 M P = J.
 
 import random
 import time
-from itertools import permutations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cyclotomics
+from conftest import _poly_mul, charpoly_oracle, cyclotomics, det_oracle
 
 from fuchskit import jsonio, linalg
 from fuchskit.errors import EigenvalueNotFound, NonSquare
@@ -41,63 +40,6 @@ from fuchskit.ratio import Rat
 from fuchskit.scalar import Cyclotomic, cyclotomic_polynomial, euler_phi
 
 C = Cyclotomic.from_rat
-
-
-def _poly_mul(p, q):
-    out = [Cyclotomic.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def charpoly_oracle(m):
-    """det(x*I - M) by permutation expansion; independent of Berkowitz."""
-    n = m.rows
-    entries = [
-        [
-            [-m.data[i][j], Cyclotomic.one()] if i == j else [-m.data[i][j]]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    total = [Cyclotomic.zero()] * (n + 1)
-    for perm in permutations(range(n)):
-        prod = [Cyclotomic.one()]
-        for i in range(n):
-            prod = _poly_mul(prod, entries[i][perm[i]])
-        sign = _perm_sign(perm)
-        for k, c in enumerate(prod):
-            total[k] = total[k] + (c if sign > 0 else -c)
-    return total
-
-
-def det_oracle(m):
-    """det(M) by permutation expansion, over any commutative ring."""
-    total = m.ring.zero()
-    for perm in permutations(range(m.rows)):
-        prod = m.ring.one()
-        for i in range(m.rows):
-            prod = prod * m.data[i][perm[i]]
-        total = total + prod if _perm_sign(perm) > 0 else total - prod
-    return total
 
 
 class TestCharpoly:

@@ -21,6 +21,7 @@ from fuchskit.scalar import (
     Cyclotomic,
     ExponentClass,
     _divmod_monic,
+    _normal,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -316,6 +317,35 @@ class TestLargePrimeConductor:
     def test_failing_eigenvalue_search_at_2520_stays_small(self):
         elapsed, rss_mb = run_child(_NO_ROOT_SETUP, _NO_ROOT_WORK)
         assert elapsed < 2, elapsed
+        assert rss_mb < 100, rss_mb
+
+
+class TestRootOfUnityPastPhi:
+    """z^e for e >= phi(q) is the remainder of x^e by Phi_q, read off power
+    series through the factors of Phi_q; the reference reduces x^e one
+    degree at a time by _divmod_monic.  The conductors past 2310 have square
+    factors, so Phi_q(x) = Phi_r(x^s) with s > 1."""
+
+    @pytest.mark.parametrize("q", [105, 210, 1155, 2310, 60, 84, 360, 2520])
+    def test_every_power_against_divmod_monic(self, q):
+        cyclo, phi = cyclotomic_polynomial(q), euler_phi(q)
+        power = [1] + [0] * (phi - 1)  # x^0 mod Phi_q
+        for e in range(q):
+            expected = _normal(q, list(power), 1)
+            got = Cyclotomic.root_of_unity(q, e)
+            assert (got.n, got._num, got._den) == (expected.n, expected._num, expected._den), (q, e)
+            power = _divmod_monic([0] + power, cyclo)[1]
+            power += [0] * (phi - len(power))
+
+    @pytest.mark.parametrize("q, e", [(30030, 30029), (30030, 15014), (10010, 10009)])
+    def test_composite_conductor_in_a_child(self, q, e):
+        work = f"z = Cyclotomic.root_of_unity({q}, {e})"
+        elapsed, rss_mb = run_child("", work)
+        assert elapsed < 0.5, elapsed
+
+    def test_rank_one_mon_at_30030(self):
+        elapsed, rss_mb = run_child(_RANK_ONE_SETUP, _RANK_ONE_WORK, 30030)
+        assert elapsed < 0.5, elapsed
         assert rss_mb < 100, rss_mb
 
 
