@@ -23,9 +23,12 @@ library prints.
 
 The eigenvalue finder is deliberately restricted to Q union the roots of
 unity: that is exactly the eigenvalue set reachable through gamma on
-rational exponent classes.  The degree of the polynomial bounds the orders
-that can occur, so the search is a decision, and anything else is an honest
-EigenvalueNotFound instead of an approximation.
+rational exponent classes.  Its rational half lifts the roots of the
+square-free part modulo a prime l-adically and reconstructs them, so it
+tries at most deg candidates and factors no coefficient.  The degree of the
+polynomial bounds the orders of the roots of unity that can occur, so the
+search is a decision, and anything else is an honest EigenvalueNotFound
+instead of an approximation.
 """
 
 from heapq import heapify, heappop, heappush
@@ -37,6 +40,7 @@ from .ratio import Rat, is_int
 from .scalar import (
     Cyclotomic,
     _common_numerators,
+    _is_probable_prime,
     _poly_xgcd,
     _prime_root,
     _rat,
@@ -555,9 +559,16 @@ def _rational_roots_of(q):
     """Distinct rational roots of a nonzero rational polynomial, ascending.
 
     Clears denominators and divides out x^k to get integer a_0, ..., a_n with
-    a_0 != 0; a nonzero root s/t in lowest terms has s | a_0, t | a_n and
-    |s/t| below the Cauchy bound, and is tested exactly in integers as
-    sum_i a_i s^i t^(n-i) = 0.
+    a_0 != 0, then searches the primitive square-free part f = p / gcd(p, p')
+    (gcd by _poly_xgcd, made primitive, so that by Gauss's lemma the division
+    is exact in integers).  A root s/t of f in lowest terms has s | f_0 and
+    t | f_n.  With l the least prime that does not divide f_n and at which
+    every root of f mod l is simple, each root mod l lifts by Newton's
+    iteration to a unique root mod m = l^(2^k) > 2 |f_0| |f_n|, and there
+    rational reconstruction with |s| <= |f_0|, 0 < t <= |f_n| has at most one
+    answer.  So there are at most deg f candidates, and each is tested
+    exactly in integers as sum_i f_i s^i t^(n-i) = 0.  Bad primes divide
+    f_n times the discriminant, so the search for l ends.
     """
     den = lcm(*(int(c.denominator) for c in q))
     ints = [int(c.numerator) * (den // int(c.denominator)) for c in q]
@@ -566,21 +577,77 @@ def _rational_roots_of(q):
     roots = [Rat(0)] if ints[0] == 0 and len(ints) > 1 else []
     while ints[0] == 0:
         ints.pop(0)
-    lead = abs(ints[-1])
-    cap = lead + max(abs(c) for c in ints)
-    numerators = divisors(abs(ints[0]))
-    for t in divisors(lead):
-        for s in numerators:
-            if gcd(s, t) > 1 or s * lead > cap * t:
-                continue
-            for r in (s, -s):
-                acc, power = ints[-1], 1
-                for c in ints[-2::-1]:
-                    power *= t
-                    acc = acc * r + c * power
-                if acc == 0:
-                    roots.append(Rat(r, t))
+    if len(ints) > 2:
+        g = _poly_xgcd(ints, [i * c for i, c in enumerate(ints)][1:])[0]
+        ints = _exact_quotient(ints, _primitive(g))
+    f = _primitive(ints)
+    if len(f) == 2:
+        roots.append(Rat(-f[0], f[1]))
+    elif len(f) > 2:
+        roots += _lifted_roots(f)
     return sorted(roots)
+
+
+def _primitive(p):
+    """The integer polynomial p divided by the gcd of its coefficients."""
+    content = gcd(*p)
+    return [x // content for x in p]
+
+
+def _exact_quotient(p, g):
+    """p / g for integer polynomials, g primitive and dividing p over Q: by
+    Gauss's lemma the quotient is integral, so every step divides exactly."""
+    k, r = len(g) - 1, list(p)
+    quotient = [0] * (len(p) - k)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = quotient[i] = r[i + k] // g[-1]
+        if c:
+            for j, y in enumerate(g[:-1]):
+                r[i + j] -= c * y
+    return quotient
+
+
+def _value_mod(p, x, m):
+    """p(x) mod m by Horner's rule."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _lifted_roots(f):
+    """The rational roots of a primitive square-free integer polynomial f of
+    degree >= 2, by l-adic lifting (see _rational_roots_of)."""
+    lead, df, ell = f[-1], [i * c for i, c in enumerate(f)][1:], 1
+    while True:
+        ell += 1
+        if lead % ell == 0 or not _is_probable_prime(ell):
+            continue
+        residues = [x for x in range(ell) if not _value_mod(f, x, ell)]
+        if all(_value_mod(df, x, ell) for x in residues):
+            break
+    bound, roots = 2 * abs(f[0]) * abs(lead), []
+    for r in residues:
+        m = ell
+        while m <= bound:
+            m *= m
+            r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
+        # rational reconstruction: the first remainder of the Euclidean
+        # sequence of (m, r) that is at most |f_0|, over its cofactor
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > abs(f[0]):
+            quo = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+        s, t = (r1, t1) if t1 > 0 else (-r1, -t1)
+        if t > abs(lead) or gcd(s, t) > 1:
+            continue
+        acc, power = f[-1], 1
+        for c in f[-2::-1]:
+            power *= t
+            acc = acc * s + c * power
+        if acc == 0:
+            roots.append(Rat(s, t))
+    return roots
 
 
 def _rational_part(p):
@@ -598,13 +665,13 @@ def _rational_part(p):
     g = parts[0]
     for q in parts[1:]:
         g = _poly_xgcd(g, q)[0]
-    content = gcd(*g)
-    return [x // content for x in g]
+    return _primitive(g)
 
 
 def rational_roots(p):
     """Distinct rational roots of p (Cyclotomic coefficients, not all zero),
-    ascending."""
+    ascending: those of the rational gcd of its power-basis components
+    (_rational_part), found by l-adic lifting (_rational_roots_of)."""
     return _rational_roots_of(_rational_part(p))
 
 
@@ -721,8 +788,9 @@ def eigenvalues(m):
 
 
 def integer_eigenvalues(m):
-    """Integer eigenvalues with geometric multiplicity: the candidates come
-    from the rational root theorem, and each multiplicity is an exact kernel
+    """Integer eigenvalues with geometric multiplicity: the integers among
+    the rational roots of the characteristic polynomial (at most its
+    square-free degree of them), each multiplicity an exact kernel
     dimension."""
     n = m.rows
     ident = Matrix.identity(n)

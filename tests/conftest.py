@@ -10,12 +10,13 @@ import cmath
 import subprocess
 import sys
 from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
 
 from fuchskit.ratio import Rat
-from fuchskit.scalar import Cyclotomic, ExponentClass
+from fuchskit.scalar import Cyclotomic, ExponentClass, divisors
 from fuchskit.laurent import LaurentPoly
 from fuchskit.expring import ExpRingElem, GroupAlgElem
 from fuchskit.linalg import Matrix
@@ -140,6 +141,44 @@ def assert_same_basis(got, expected, same_labels=True):
                 # rational exactly at label 1; a value of a subfield may be
                 # carried at the compositum's label
                 assert x.n == y.n or {x.n, y.n} in ({3, 12}, {4, 12}), (x, y)
+
+
+# -- the divisor-search oracle of the rational roots ---------------------------
+
+
+def rational_roots_oracle(q):
+    """Distinct rational roots of a nonzero rational polynomial, ascending.
+    This is the divisor search linalg._rational_roots_of ran before it
+    lifted the roots of the square-free part l-adically, kept verbatim as the
+    independent oracle of that search.
+
+    Clears denominators and divides out x^k to get integer a_0, ..., a_n with
+    a_0 != 0; a nonzero root s/t in lowest terms has s | a_0, t | a_n and
+    |s/t| below the Cauchy bound, and is tested exactly in integers as
+    sum_i a_i s^i t^(n-i) = 0.
+    """
+    den = lcm(*(int(c.denominator) for c in q))
+    ints = [int(c.numerator) * (den // int(c.denominator)) for c in q]
+    while ints[-1] == 0:
+        ints.pop()
+    roots = [Rat(0)] if ints[0] == 0 and len(ints) > 1 else []
+    while ints[0] == 0:
+        ints.pop(0)
+    lead = abs(ints[-1])
+    cap = lead + max(abs(c) for c in ints)
+    numerators = divisors(abs(ints[0]))
+    for t in divisors(lead):
+        for s in numerators:
+            if gcd(s, t) > 1 or s * lead > cap * t:
+                continue
+            for r in (s, -s):
+                acc, power = ints[-1], 1
+                for c in ints[-2::-1]:
+                    power *= t
+                    acc = acc * r + c * power
+                if acc == 0:
+                    roots.append(Rat(r, t))
+    return sorted(roots)
 
 
 # -- the permutation-expansion oracle of charpoly and det -------------------------

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from conftest import run_child
+
 from fuchskit import jsonio
 from fuchskit.cli import main
 
@@ -661,3 +663,73 @@ class TestStartUp:
         loaded = set(proc.stdout.split())
         assert "fuchskit.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
+
+
+# Two dim-5 constant modules at conductor 12, drawn by
+# perfbench.cases.constant_module twice (left, then right) from
+# random.Random("cliff:5:12").  The characteristic polynomial of their
+# 25-dim tensor has repeated roots, so its end coefficients are high powers
+# with many divisors: the divisor-pair search for its rational roots took
+# minutes for hom and seconds for ext.  The stdout digests were recorded from
+# that search.
+CLIFF_PAIR_INPUT = (
+    '{"left":{"derivation":"t d/dt","dim":5,"matrix":[[{"0":{"coeffs":["85/12"],"conductor":1}},'
+    '{"0":{"coeffs":["-37/12"],"conductor":1}},{"0":{"coeffs":["-7/4"],"conductor":1}},'
+    '{"0":{"coeffs":["8/3"],"conductor":1}},{"0":{"coeffs":["-1/3"],"conductor":1}}],'
+    '[{"0":{"coeffs":["8"],"conductor":1}},{"0":{"coeffs":["-91/12"],"conductor":1}},'
+    '{"0":{"coeffs":["-31/6"],"conductor":1}},{"0":{"coeffs":["9/2"],"conductor":1}},'
+    '{"0":{"coeffs":["5/3"],"conductor":1}}],[{"0":{"coeffs":["-35/3"],"conductor":1}},'
+    '{"0":{"coeffs":["77/4"],"conductor":1}},{"0":{"coeffs":["73/6"],"conductor":1}},'
+    '{"0":{"coeffs":["-19/3"],"conductor":1}},{"0":{"coeffs":["-9/2"],"conductor":1}}],'
+    '[{"0":{"coeffs":["-53/6"],"conductor":1}},{"0":{"coeffs":["155/12"],"conductor":1}},'
+    '{"0":{"coeffs":["20/3"],"conductor":1}},{"0":{"coeffs":["-13/6"],"conductor":1}},'
+    '{"0":{"coeffs":["-7/3"],"conductor":1}}],[{"0":{"coeffs":["13/3"],"conductor":1}},'
+    '{"0":{"coeffs":["-7/12"],"conductor":1}},{"0":{"coeffs":["-1/2"],"conductor":1}},'
+    '{"0":{"coeffs":["8/3"],"conductor":1}},{"0":{"coeffs":["7/6"],"conductor":1}}]]},'
+    '"right":{"derivation":"t d/dt","dim":5,"matrix":[[{"0":{"coeffs":["19/4"],"conductor":1}},'
+    '{"0":{"coeffs":["1"],"conductor":1}},{"0":{"coeffs":["4/3"],"conductor":1}},{"0":{"coeffs":["-3/4"],'
+    '"conductor":1}},{"0":{"coeffs":["-25/12"],"conductor":1}}],[{"0":{"coeffs":["-5"],"conductor":1}},'
+    '{"0":{"coeffs":["-11/12"],"conductor":1}},{"0":{"coeffs":["-1"],"conductor":1}},'
+    '{"0":{"coeffs":["3/2"],"conductor":1}},{"0":{"coeffs":["7/2"],"conductor":1}}],'
+    '[{"0":{"coeffs":["-17/3"],"conductor":1}},{"0":{"coeffs":["-2"],"conductor":1}},'
+    '{"0":{"coeffs":["-1/4"],"conductor":1}},{"0":{"coeffs":["-1/4"],"conductor":1}},'
+    '{"0":{"coeffs":["25/12"],"conductor":1}}],[{"0":{"coeffs":["-7/3"],"conductor":1}},{},'
+    '{"0":{"coeffs":["-5/3"],"conductor":1}},{"0":{"coeffs":["13/12"],"conductor":1}},'
+    '{"0":{"coeffs":["2/3"],"conductor":1}}],[{"0":{"coeffs":["7/3"],"conductor":1}},{},'
+    '{"0":{"coeffs":["5/3"],"conductor":1}},{"0":{"coeffs":["-7/4"],"conductor":1}},'
+    '{"0":{"coeffs":["-4/3"],"conductor":1}}]]}}'
+)
+
+CLIFF_PAIR_SHA256 = "29ed0e9a54a789e008a19b3e229a343200fb5ac2aaa335ff37642924eef3841a"
+
+CLIFF_STDOUT_SHA256 = {
+    "hom": "98f366ee02a983df4991de051d3179c7a415771d6956492294aff94b67dceb1f",
+    "ext": "e61877a3bd47e2e80ff54cb29378d80e7bcc227261d81a70aff7bbdc03295304",
+}
+
+_CLIFF_SETUP = """
+import contextlib, hashlib, io
+from fuchskit.cli import main
+"""
+
+_CLIFF_WORK = """
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main([sys.argv[1], "--json", sys.argv[2]])
+assert code == 0, code
+digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+assert digest == sys.argv[3], digest
+"""
+
+
+class TestRootSearchCliff:
+    """hom and ext of the pair above, timed in a child process."""
+
+    def test_pair_is_the_drawn_one(self):
+        text = json.dumps(json.loads(CLIFF_PAIR_INPUT), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CLIFF_PAIR_SHA256
+
+    @pytest.mark.parametrize("command", ["hom", "ext"])
+    def test_dim5_conductor12_pair(self, command):
+        elapsed, _ = run_child(_CLIFF_SETUP, _CLIFF_WORK, command, CLIFF_PAIR_INPUT, CLIFF_STDOUT_SHA256[command])
+        assert elapsed < 10, elapsed

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _poly_mul, charpoly_oracle, cyclotomics, det_oracle
+from conftest import _poly_mul, charpoly_oracle, cyclotomics, det_oracle, rational_roots_oracle, run_child
 
 from fuchskit import jsonio, linalg
 from fuchskit.errors import EigenvalueNotFound, NonSquare
@@ -31,8 +31,10 @@ from fuchskit.linalg import (
     jordan_block,
     jordan_form,
     poly_roots,
+    rational_roots,
     _divide_linear,
     _jordan_elimination,
+    _rational_roots_of,
     _root_candidates,
     _root_orders,
 )
@@ -221,6 +223,176 @@ class TestPolyRoots:
         with pytest.raises(EigenvalueNotFound, match="no root in Q or in the roots of unity$"):
             eigenvalues(m)
         assert time.perf_counter() - start < 1
+
+
+def _int_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _int_from_roots(roots, lead=1):
+    """lead * prod (t x - s) over the roots s/t, ascending integer
+    coefficients."""
+    p = [lead]
+    for r in map(Rat, roots):
+        p = _int_mul(p, [-r.numerator, r.denominator])
+    return p
+
+
+def _planted(rng, count, numerators, denominators, lead=1):
+    """lead times the product of (t x - s)^k, k random in 1..4, over count
+    random roots s/t."""
+    roots = []
+    for _ in range(count):
+        r = Rat(rng.choice(numerators), rng.choice(denominators))
+        roots += [r] * rng.randint(1, 4)
+    return _int_from_roots(roots, lead)
+
+
+# the product of (2520 x - j): each root has denominator 2520, and the end
+# coefficients 2520^10 and the product of the j have so many divisors that
+# the divisor-pair search had not finished after a minute
+_J_2520 = (1, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+class TestRationalRoots:
+    """_rational_roots_of against the divisor search it replaced
+    (conftest.rational_roots_oracle) on a seeded corpus."""
+
+    @staticmethod
+    def _agree(p):
+        assert _rational_roots_of(p) == rational_roots_oracle(p), p
+
+    def test_random_integer_polynomials(self):
+        rng = random.Random(101)
+        for _ in range(300):
+            p = [rng.randint(-40, 40) for _ in range(rng.randint(1, 7))]
+            p[-1] = p[-1] or 1
+            self._agree(p)
+
+    def test_random_rational_polynomials(self):
+        rng = random.Random(102)
+        for _ in range(200):
+            p = [Rat(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(rng.randint(1, 7))]
+            p[-1] = p[-1] or Rat(1, 7)
+            self._agree(p)
+
+    def test_planted_multiple_roots(self):
+        # multiplicities 2-4 beside simple roots, now and then with a
+        # quadratic factor that has no rational root
+        rng = random.Random(103)
+        for _ in range(150):
+            p = _planted(rng, rng.randint(1, 3), range(-12, 13), range(1, 13), rng.choice([1, 2, -3]))
+            if rng.random() < 0.3:
+                p = _int_mul(p, [rng.choice([1, 2, 3, 5]), 0, 1])
+            self._agree(p)
+            self._agree([Rat(c, 6) for c in p])
+
+    def test_root_zero_and_unit_roots(self):
+        # 0 is read off the x^k factor; +-1 have |s| = t, and the exact
+        # test is the only guard between them
+        rng = random.Random(104)
+        for _ in range(100):
+            roots = [0] * rng.randint(0, 3) + [1] * rng.randint(0, 3) + [-1] * rng.randint(0, 3)
+            roots += [Rat(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(0, 2))]
+            p = _int_from_roots(roots, rng.choice([1, -1, 4]))
+            self._agree(p)
+            if rng.random() < 0.5:
+                self._agree(_int_mul(p, [1, 0, 1]))
+        assert _rational_roots_of(_int_from_roots([1, -1, 1])) == [-1, 1]
+        assert _rational_roots_of([0, 0, 0, 3]) == [0]
+
+    def test_constant_and_linear(self):
+        for p in ([5], [Rat(-2, 3)], [0, 1], [0, Rat(5, 2)], [3, 7], [Rat(1, 2), Rat(-3, 4)], [-9, 6]):
+            self._agree(p)
+        assert _rational_roots_of([-9, 6]) == [Rat(3, 2)]
+        assert _rational_roots_of([7]) == []
+
+    def test_leads_divisible_by_3_5_7(self):
+        # the least primes divide the leading coefficient, so the prime is
+        # chosen past them
+        rng = random.Random(105)
+        for _ in range(150):
+            p = _planted(rng, rng.randint(1, 3), range(-10, 11), [3, 5, 7, 9, 15, 21, 35, 49, 105])
+            if rng.random() < 0.4:
+                p = _int_mul(p, [rng.randint(1, 5), 0, 105])
+            self._agree(p)
+
+    def test_roots_congruent_modulo_small_primes(self):
+        # 0 and 3 meet modulo 3 and 0 and 5 modulo 5; 1, 3, 4, 6, 8 meet
+        # modulo 2, 3, 5 and 7, so a root mod l is double at every l < 11
+        cases = [[0, 3], [0, 3, 5], [1, 3, 4, 6, 8], [1, 3, 4, 6, 8, 12, 14]]
+        rng = random.Random(106)
+        for _ in range(100):
+            base = rng.randint(-5, 5)
+            roots = [base + rng.choice([2, 3, 5, 7]) * rng.randint(1, 3) * k for k in range(rng.randint(2, 4))]
+            cases.append([Rat(r, rng.choice([1, 11, 13])) for r in roots])
+        for roots in cases:
+            p = _int_from_roots(roots)
+            self._agree(p)
+            assert _rational_roots_of(p) == sorted(set(map(Rat, roots)))
+
+    def test_prime_search_skips_double_roots_and_the_leading_coefficient(self, monkeypatch):
+        # (3x - 1)(5x - 3)(7x - 6): 1/3 and 3/5 meet modulo 2, 3, 5 and 7
+        # divide the leading coefficient, and 1/3 and 6/7 meet modulo 11, so
+        # the roots are lifted from F_13
+        moduli = []
+        value = linalg._value_mod
+        monkeypatch.setattr(linalg, "_value_mod", lambda p, x, m: moduli.append(m) or value(p, x, m))
+        assert _rational_roots_of(_int_from_roots([Rat(1, 3), Rat(3, 5), Rat(6, 7)])) == [
+            Rat(1, 3), Rat(3, 5), Rat(6, 7)]
+        assert sorted({m for m in moduli if m < 100}) == [2, 11, 13]
+
+    def test_product_over_2520(self):
+        # too slow for the oracle; the roots are known
+        p = _int_from_roots([Rat(j, 2520) for j in _J_2520])
+        assert _rational_roots_of(p) == [Rat(j, 2520) for j in _J_2520]
+        assert _rational_roots_of(_int_mul(p, p)) == [Rat(j, 2520) for j in _J_2520]
+        assert rational_roots([C(c) for c in p]) == [Rat(j, 2520) for j in _J_2520]
+
+
+_DOUBLE_EIGENVALUE_SETUP = """
+from fuchskit.diffmod import DiffModule
+from fuchskit.functors import exponents
+from fuchskit.linalg import Matrix, jordan_block
+from fuchskit.ratio import Rat
+C = Cyclotomic.from_rat
+s = Matrix([[C(1), C(0)], [C(1), C(1)]])
+module = DiffModule.from_constant(s * jordan_block(C(Rat(1, 2**61 - 1)), 2) * s.inverse())
+"""
+
+_DOUBLE_EIGENVALUE_WORK = """
+assert [repr(e) for e in exponents(module).entries] == ["1/2305843009213693951"] * 2
+"""
+
+_PRODUCT_2520_SETUP = f"""
+from fuchskit.linalg import rational_roots
+from fuchskit.ratio import Rat
+p = [Cyclotomic.one()]
+for j in {_J_2520}:
+    p = [a * 2520 - b * j for a, b in zip([Cyclotomic.zero()] + p, p + [Cyclotomic.zero()])]
+"""
+
+_PRODUCT_2520_WORK = f"""
+assert rational_roots(p) == [Rat(j, 2520) for j in {_J_2520}]
+"""
+
+
+class TestRationalRootCliffs:
+    """Inputs whose end coefficients a divisor search must factor or whose
+    divisor pairs run to millions, timed in a child process."""
+
+    def test_double_eigenvalue_over_a_mersenne_prime(self):
+        # the end coefficients of the charpoly are 1 and (2^61 - 1)^2
+        elapsed, _ = run_child(_DOUBLE_EIGENVALUE_SETUP, _DOUBLE_EIGENVALUE_WORK)
+        assert elapsed < 2, elapsed
+
+    def test_product_over_2520(self):
+        elapsed, _ = run_child(_PRODUCT_2520_SETUP, _PRODUCT_2520_WORK)
+        assert elapsed < 2, elapsed
 
 
 def _totients(limit):
