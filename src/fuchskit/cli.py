@@ -103,7 +103,7 @@ def _read_input(args):
 
 def _search_options(args):
     opts = {}
-    if getattr(args, "exponent_candidates", None):
+    if getattr(args, "exponent_candidates", None) is not None:
         opts["exponent_candidates"] = [
             jsonio.decode_exponent_class(part.strip(), "exponent candidate")
             for part in args.exponent_candidates.split(",")

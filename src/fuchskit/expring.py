@@ -308,38 +308,35 @@ class ExpRingElem:
     @staticmethod
     def sum_of_products(xs, ys, n):
         """sum x*y over the pairs, for coefficient labels 1 and n only: the
-        coefficient products bucketed by (ell-degree, class, t-degree), the
-        keys of coordinates, with a class sum past 1 carried into the
-        t-degree as in GroupAlgElem.__mul__; one Cyclotomic sum_of_products
-        per key, zero sums dropped."""
-        buckets = {}
+        Laurent factor pairs grouped by (ell-degree, class), with a class sum
+        past 1 carried as t^spill on the right factor as in
+        GroupAlgElem.__mul__; one LaurentPoly.sum_of_products per group, zero
+        sums dropped."""
+        groups = {}
         for x, y in zip(xs, ys):
             if not x.ell:
                 continue
-            parts = [(k, a.value, f.terms) for k, g in enumerate(y.ell) for a, f in g.parts.items()]
-            for k1, g in enumerate(x.ell):
-                for a, f in g.parts.items():
-                    for k2, b, terms in parts:
+            parts = [(k, b.value, g) for k, h in enumerate(y.ell) for b, g in h.parts.items()]
+            for k1, h in enumerate(x.ell):
+                for a, f in h.parts.items():
+                    for k2, b, g in parts:
                         s = a.value + b
                         spill = rat_floor(s)
                         if spill:
                             s -= spill
-                        for d1, c1 in f.terms.items():
-                            for d2, c2 in terms.items():
-                                key = k1 + k2, s, d1 + d2 + spill
-                                pair = buckets.get(key)
-                                if pair is None:
-                                    buckets[key] = [c1], [c2]
-                                else:
-                                    pair[0].append(c1)
-                                    pair[1].append(c2)
+                            g = LaurentPoly({d + spill: c for d, c in g.terms.items()})
+                        pair = groups.get((k1 + k2, s))
+                        if pair is None:
+                            groups[k1 + k2, s] = [f], [g]
+                        else:
+                            pair[0].append(f)
+                            pair[1].append(g)
         ell = {}
-        for (k, a, d), (cs1, cs2) in buckets.items():
-            c = Cyclotomic.sum_of_products(cs1, cs2, n)
-            if not c.is_zero:
-                ell.setdefault(k, {}).setdefault(a, {})[d] = c
-        return ExpRingElem([GroupAlgElem({a: LaurentPoly(terms) for a, terms in ell.get(k, {}).items()})
-                            for k in range(max(ell, default=-1) + 1)])
+        for (k, a), (fs, gs) in groups.items():
+            f = LaurentPoly.sum_of_products(fs, gs, n)
+            if not f.is_zero:
+                ell.setdefault(k, {})[a] = f
+        return ExpRingElem([GroupAlgElem(ell.get(k)) for k in range(max(ell, default=-1) + 1)])
 
     def __eq__(self, other):
         other = self._coerced(other)

@@ -50,7 +50,7 @@ from .linalg import (
 )
 from .ratio import Rat
 from .scalar import Cyclotomic, ExponentClass, _common_numerators, _normal, gamma, gamma_inverse
-from .sigmamod import SigmaModule, hom_dim
+from .sigmamod import SigmaModule
 
 DEFAULT_DEGREE_BOUND = 8
 
@@ -474,10 +474,14 @@ def mon(module, **opts):
     return _mon_of_blocks(jordan_form(cf.constant).blocks)
 
 
+def _mon_blocks(blocks):
+    """The Jordan blocks (gamma(-a), n) of mon from the blocks (a, n)."""
+    return [(gamma(-ExponentClass.from_scalar(a)), size) for a, size in blocks]
+
+
 def _mon_of_blocks(blocks):
     """mon of a constant module from the Jordan blocks (a, n) of its matrix."""
-    return SigmaModule(Matrix.block_diag(
-        [jordan_block(gamma(-ExponentClass.from_scalar(a)), size) for a, size in blocks]))
+    return SigmaModule(Matrix.block_diag([jordan_block(lam, size) for lam, size in _mon_blocks(blocks)]))
 
 
 def rm(v):
@@ -531,13 +535,11 @@ def fuchs_decomposition(module, **opts):
     triangular = jd.jordan_matrix()
     if not _gauge_gives(module, gauge, triangular.map(LaurentPoly.from_scalar)):
         raise AssertionError("triangularization verification failed; this is a bug")
-    diag = [triangular.data[i][i] for i in range(module.dim)]
-    classes = [ExponentClass.from_scalar(x) for x in diag]
     return FuchsDecomposition(
         gauge=gauge,
         triangular=triangular,
-        factors=diag,
-        exponent_multiset=ExponentMultiset.from_classes(classes),
+        factors=[triangular.data[i][i] for i in range(module.dim)],
+        exponent_multiset=_exponent_multiset(jd.blocks),
     )
 
 
@@ -582,12 +584,15 @@ def mon_hom_compare(m1, m2, **opts):
 
 def _hom_report(c1, c2):
     """The horizontal Hom space between the constant modules c1, c2 and
-    mon_hom_compare's report on them, from one Jordan form per constant."""
+    mon_hom_compare's report on them, from one Jordan form per constant.
+    dim Hom^Z is sum min(p, q) over the pairs of monodromy blocks (gamma(-a), p),
+    (gamma(-b), q) with equal eigenvalues (Gantmacher, Theory of Matrices I, VIII)."""
     k1, k2 = c1.constant_matrix(), c2.constant_matrix()
     blocks1, blocks2 = jordan_form(k1).blocks, jordan_form(k2).blocks
     space = _hom_basis(k1, k2, blocks1, blocks2)
     d_hom = space.dimension
-    d_mon = hom_dim(_mon_of_blocks(blocks1), _mon_of_blocks(blocks2))
+    mon1, mon2 = _mon_blocks(blocks1), _mon_blocks(blocks2)
+    d_mon = sum(min(p, q) for lam, p in mon1 for mu, q in mon2 if lam == mu)
     e1, e2 = _exponent_multiset(blocks1), _exponent_multiset(blocks2)
     tensor_ok = exponents(tensor(c1, c2)) == e1.pairwise_sums(e2)
     dual_ok = exponents(dual(c1)) == e1.negated()

@@ -40,10 +40,10 @@ from .ratio import Rat, is_int
 from .scalar import (
     Cyclotomic,
     _common_numerators,
-    _is_probable_prime,
     _poly_xgcd,
     _prime_root,
     _rat,
+    _value_mod,
     divisors,
     euler_phi,
 )
@@ -420,26 +420,17 @@ def _lifted(columns, f, residues, modulus, bound):
 def _reconstructed(residues, modulus, bound):
     """(den, {p: numerator}) in lowest terms, den > 0, of the rationals with
     the given residues modulo modulus, zeros dropped; None when one has none.
-    Wang's reconstruction, x/q = a (mod m) with |x| and q at most
-    bound = sqrt(m/2), runs only when a residue times the denominator so far
-    is not already such a small integer (a vector's coordinates mostly share
-    one)."""
+    Each residue times the denominator so far goes through
+    _rational_reconstruction, x/q = a (mod m) with |x| and q at most
+    bound = sqrt(m/2); a vector's coordinates mostly share one denominator."""
     den, nums = 1, {}
     for p, a in residues.items():
-        a = a * den % modulus
-        if a > bound:
-            if modulus - a <= bound:
-                a -= modulus
-            else:
-                r0, r1, s0, s1 = modulus, a, 0, 1
-                while r1 > bound:
-                    q = r0 // r1
-                    r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-                if abs(s1) > bound:
-                    return None
-                a, q = (r1, s1) if s1 > 0 else (-r1, -s1)
-                den *= q
-                nums = {c: x * q for c, x in nums.items()}
+        a, q = _rational_reconstruction(a * den % modulus, modulus, bound)
+        if q > bound:
+            return None
+        if q > 1:
+            den *= q
+            nums = {c: x * q for c, x in nums.items()}
         if a:
             nums[p] = a
     g = gcd(den, *nums.values())
@@ -607,38 +598,33 @@ def _exact_quotient(p, g):
     return quotient
 
 
-def _value_mod(p, x, m):
-    """p(x) mod m by Horner's rule."""
-    acc = 0
-    for c in reversed(p):
-        acc = (acc * x + c) % m
-    return acc
+def _rational_reconstruction(a, m, bound):
+    """(x, q), q > 0, x = q a (mod m): the first Euclidean remainder of (m, a)
+    at most bound, over its cofactor (Wang's rational reconstruction)."""
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _lifted_roots(f):
     """The rational roots of a primitive square-free integer polynomial f of
-    degree >= 2, by l-adic lifting (see _rational_roots_of)."""
+    degree >= 2, by l-adic lifting and _rational_reconstruction (see _rational_roots_of)."""
     lead, df, ell = f[-1], [i * c for i, c in enumerate(f)][1:], 1
     while True:
-        ell += 1
-        if lead % ell == 0 or not _is_probable_prime(ell):
-            continue
-        residues = [x for x in range(ell) if not _value_mod(f, x, ell)]
-        if all(_value_mod(df, x, ell) for x in residues):
-            break
+        ell = _prime_root(1, ell)[0]
+        if lead % ell:
+            residues = [x for x in range(ell) if not _value_mod(f, x, ell)]
+            if all(_value_mod(df, x, ell) for x in residues):
+                break
     bound, roots = 2 * abs(f[0]) * abs(lead), []
     for r in residues:
         m = ell
         while m <= bound:
             m *= m
             r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
-        # rational reconstruction: the first remainder of the Euclidean
-        # sequence of (m, r) that is at most |f_0|, over its cofactor
-        r0, r1, t0, t1 = m, r, 0, 1
-        while r1 > abs(f[0]):
-            quo = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
-        s, t = (r1, t1) if t1 > 0 else (-r1, -t1)
+        s, t = _rational_reconstruction(r, m, abs(f[0]))
         if t > abs(lead) or gcd(s, t) > 1:
             continue
         acc, power = f[-1], 1

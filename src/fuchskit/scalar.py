@@ -200,6 +200,14 @@ def _prime_root(n, after=0):
     return _ROOT_CACHE[n, after]
 
 
+def _value_mod(p, x, m):
+    """p(x) mod m by Horner's rule, for an integer polynomial p (ascending)."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def _poly_xgcd(a, b):
     """Extended gcd of integer polynomials (ascending coefficients): g, s with
     s*a = g modulo b and g a gcd of a and b over Q, both over the integers.
@@ -385,10 +393,7 @@ class Cyclotomic:
     def _image(self, m, ell, w):
         """The image in F_ell under zeta_m -> w, for w of order m, n | m and
         ell prime to the denominator."""
-        v, acc = pow(w, m // self._n, ell), 0
-        for x in reversed(self._num):
-            acc = (acc * v + x) % ell
-        return acc * pow(self._den, -1, ell) % ell
+        return _value_mod(self._num, pow(w, m // self._n, ell), ell) * pow(self._den, -1, ell) % ell
 
     def embed(self, m):
         """Image in Q(zeta_m) (the value is unchanged)."""

@@ -234,6 +234,13 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "InvalidInput"
 
+    @pytest.mark.parametrize("candidates", ["", " ", ","])
+    def test_empty_exponent_candidates_is_two(self, capsys, candidates):
+        code, out = run_cli(capsys, "mon", "--json", '{"dim": 1, "matrix": [[{"0": "1/2", "1": "1"}]]}',
+                            "--exponent-candidates", candidates, "--degree-bound", "2")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidInput"
+
     def test_huge_conductor_is_two_without_factoring(self):
         # two 19-digit prime factors: Pollard rho would need ~10^9 steps,
         # but one coefficient cannot fill a conductor above 2
@@ -244,6 +251,25 @@ class TestExitCodes:
                               env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=2)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "InvalidInput"
+
+
+class TestBeyondUnitRoots:
+    """M = [[0, 2], [1, 0]] has the eigenvalues +-sqrt(2), in Q(zeta_8) but
+    outside Q and the roots of unity: ext counts them through the Hom
+    module's integer eigenvalues, while hom needs Jordan blocks of M."""
+
+    MODULE = {"dim": 2, "matrix": [["0", "2"], ["1", "0"]]}
+    PAIR = json.dumps({"left": MODULE, "right": MODULE})
+
+    def test_ext(self, capsys):
+        code, out = run_cli(capsys, "ext", "--json", self.PAIR)
+        assert code == 0
+        assert json.loads(out) == {"dimension": 2}
+
+    def test_hom(self, capsys):
+        code, out = run_cli(capsys, "hom", "--json", self.PAIR)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "EigenvalueNotFound"
 
 
 def sheared_fifth_json():

@@ -340,6 +340,14 @@ class TestExtAndH1:
     def test_ext_integer_shifted_class(self):
         assert ext_dim(rank_one(Rat(1, 3)), rank_one(Rat(4, 3))) == 1
 
+    def test_ext_beyond_the_unit_roots(self):
+        # [[0, 2], [1, 0]] has the eigenvalues +-sqrt(2), in Q(zeta_8) but
+        # neither rational nor roots of unity, so jordan_form cannot split
+        # it; Ext is still the H^1 of the Hom module, whose constant matrix
+        # has the integer eigenvalue 0 twice
+        m = DiffModule(laurent_matrix([[0, 2], [1, 0]]))
+        assert ext_dim(m, m) == 2
+
     def test_h1_matches_windowed_oracle(self, rng):
         sizes = Sizes(max_dim=3, max_numerator=2)
         for _ in range(8):

@@ -15,6 +15,8 @@ from fuchskit.diffmod import (
 from fuchskit.errors import MissingCandidates, NotFoundWithinBounds
 from fuchskit.functors import (
     ExponentMultiset,
+    _hom_report,
+    _mon_of_blocks,
     default_exponent_candidates,
     ensure_constant_form,
     exponents,
@@ -35,10 +37,10 @@ from fuchskit.generate import (
     rand_sigma_module,
 )
 from fuchskit.laurent import LaurentPoly
-from fuchskit.linalg import Matrix, jordan_form
+from fuchskit.linalg import Matrix, jordan_block, jordan_form
 from fuchskit.ratio import Rat
 from fuchskit.scalar import Cyclotomic, ExponentClass
-from fuchskit.sigmamod import SigmaModule, isomorphism, rank_one as v_rank_one
+from fuchskit.sigmamod import SigmaModule, hom_dim, isomorphism, rank_one as v_rank_one
 
 C = Cyclotomic.from_rat
 
@@ -256,6 +258,34 @@ class TestMonHomCompare:
             t = isomorphism(dleft, dright)
             assert t is not None
             assert t * dleft.monodromy * t.inverse() == dright.monodromy
+
+
+def _rand_blocks(rng, pool):
+    """Jordan blocks (a, n) of total size 1-5, the a drawn from the pool and
+    shifted by integers."""
+    dim, blocks = rng.randint(1, 5), []
+    while dim:
+        size = rng.randint(1, dim)
+        blocks.append((rng.choice(pool) + rng.choice([0, 0, 1, -2]), size))
+        dim -= size
+    return blocks
+
+
+class TestMonHomDimension:
+    def test_block_count_matches_the_sylvester_kernel(self, rng):
+        # mon_hom_dim is read off the blocks; sigmamod.hom_dim, the kernel of
+        # the Sylvester operator of the two monodromies, is the oracle.  Two
+        # classes per pair make blocks repeat, and integer shifts change the
+        # eigenvalue of the constant matrix but not that of the monodromy.
+        for _ in range(400):
+            q = rng.randint(1, 12)
+            pool = [Rat(rng.randrange(q), q) for _ in range(2)]
+            b1, b2 = _rand_blocks(rng, pool), _rand_blocks(rng, pool)
+            c1, c2 = (DiffModule.from_constant(Matrix.block_diag([jordan_block(C(a), n) for a, n in b]))
+                      for b in (b1, b2))
+            report = _hom_report(c1, c2)[1]
+            assert report["mon_hom_dim"] == hom_dim(_mon_of_blocks(b1), _mon_of_blocks(b2)), (b1, b2)
+            assert report["ok"], (b1, b2, report)
 
 
 class TestJordanEliminations:

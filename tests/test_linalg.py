@@ -8,7 +8,7 @@ verified by exact reconstruction P^-1 M P = J.
 
 import random
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +34,7 @@ from fuchskit.linalg import (
     rational_roots,
     _divide_linear,
     _jordan_elimination,
+    _rational_reconstruction,
     _rational_roots_of,
     _root_candidates,
     _root_orders,
@@ -393,6 +394,52 @@ class TestRationalRootCliffs:
     def test_product_over_2520(self):
         elapsed, _ = run_child(_PRODUCT_2520_SETUP, _PRODUCT_2520_WORK)
         assert elapsed < 2, elapsed
+
+
+def _kernel_reconstruction_oracle(a, m, bound):
+    """The reconstruction step _reconstructed made inline: (x, q) with
+    x = q a (mod m) and |x|, q at most bound, or None."""
+    if a <= bound:
+        return a, 1
+    if m - a <= bound:
+        return a - m, 1
+    r0, r1, s0, s1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _root_reconstruction_oracle(r, m, bound):
+    """The reconstruction step _lifted_roots made inline."""
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+class TestRationalReconstruction:
+    def test_matches_the_inline_loops(self):
+        # the kernel lift's bound is sqrt(m/2) and rejects q past it; the
+        # root lift's bound is |f_0|, any value below m
+        rng = random.Random("rational-reconstruction")
+        for _ in range(3000):
+            m = rng.choice([rng.randint(2, 10**6), rng.randint(2, 2**29) * rng.randint(2, 2**29), 3 ** rng.randint(1, 60)])
+            bound = isqrt(m >> 1)
+            x, q = rng.randint(-bound, bound), rng.randint(1, max(bound, 1))
+            a = rng.choice([
+                x * pow(q, -1, m) % m if gcd(q, m) == 1 else rng.randrange(m),  # a small fraction
+                rng.randrange(m),
+                m - rng.randint(1, bound + 1),  # a > m/2, a small negative integer when within the bound
+                rng.randint(0, bound),  # already within the bound
+            ])
+            got = _rational_reconstruction(a, m, bound)
+            assert (got if got[1] <= bound else None) == _kernel_reconstruction_oracle(a, m, bound), (a, m)
+            bound = rng.randrange(m)
+            assert _rational_reconstruction(a, m, bound) == _root_reconstruction_oracle(a, m, bound), (a, m, bound)
 
 
 def _totients(limit):

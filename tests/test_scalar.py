@@ -495,6 +495,23 @@ class TestNumberTheory:
         assert euler_phi(n) == 4 * (p - 1) * (q - 1)
         assert calls
 
+    def test_image_matches_horner(self):
+        # the Horner loop Cyclotomic._image ran before it called _value_mod
+        def horner(c, m, ell, w):
+            v, acc = pow(w, m // c.n, ell), 0
+            for x in reversed(c._num):
+                acc = (acc * v + x) % ell
+            return acc * pow(c._den, -1, ell) % ell
+
+        rng = random.Random("image-horner")
+        for n in range(1, 85):
+            m = n * rng.choice([1, 2, 3])
+            ell, w = scalar._prime_root(m)
+            for _ in range(4):
+                c = Cyclotomic(n, [Rat(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(euler_phi(n))])
+                if c._den % ell:
+                    assert c._image(m, ell, w) == horner(c, m, ell, w), (n, m)
+
     @staticmethod
     def _poly_mul(a, b):
         out = [0] * (len(a) + len(b) - 1)

@@ -63,6 +63,11 @@ class TestHomDim:
         j = SigmaModule(Matrix([[C(1), C(1)], [C(0), C(1)]]))
         assert hom_dim(j, j) == 2
 
+    def test_eigenvalues_beyond_the_unit_roots(self):
+        # +-sqrt(2): no Jordan form here, so the Sylvester kernel is the count
+        v = SigmaModule(Matrix([[C(0), C(2)], [C(1), C(0)]]))
+        assert hom_dim(v, v) == 2
+
 
 class TestIsomorphism:
     def test_conjugates_are_isomorphic(self, rng):
