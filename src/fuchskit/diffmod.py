@@ -340,15 +340,14 @@ def _hom_basis(c1, c2, spectrum1, spectrum2):
     """horizontal_hom of the constant matrices c1, c2, whose eigenvalues are
     the first entries of the pairs in spectrum1, spectrum2 (eigenvalues or
     Jordan blocks).  partial(F) + C2 F - F C1 = 0 splits by Laurent mode k
-    into ker(k id + Sylvester), and k can only be an integer
-    (eigenvalue of C1) - (eigenvalue of C2)."""
+    into ker(Sylvester + k id), the operator with its diagonal shifted by k,
+    and k can only be an integer (eigenvalue of C1) - (eigenvalue of C2)."""
     diffs = ((a - b).rational_value for a, _ in spectrum1 for b, _ in spectrum2)
     modes = sorted({int(rv) for rv in diffs if rv is not None and rv.denominator == 1})
     syl = _sylvester_operator(c1, c2)
     basis = []
     for k in modes:
-        op = syl + Matrix.identity(syl.cols).scale(Cyclotomic.from_rat(k))
-        for vec in op.nullspace():
+        for vec in syl.shift(Cyclotomic.from_rat(k)).nullspace():
             basis.append(Matrix([[LaurentPoly({k: vec[i * c1.rows + j]}) for j in range(c1.rows)]
                                  for i in range(c2.rows)]))
     return HorizontalSpace(basis=basis)

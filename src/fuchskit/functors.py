@@ -560,8 +560,8 @@ def horizontal_isomorphism(m1, m2):
     candidate is horizontal, so it is invertible exactly when its value at
     t = 1 is (see _horizontal_is_invertible).
     """
-    space = horizontal_hom(m1, m2)
-    if not space.basis or m1.dim != m2.dim:
+    m1._same_derivation(m2)  # before the dimensions: mixed derivations raise
+    if m1.dim != m2.dim or not (space := horizontal_hom(m1, m2)).basis:
         return None
     for f in space.basis:
         if _horizontal_is_invertible(f):

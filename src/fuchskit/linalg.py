@@ -3,8 +3,8 @@ column_kernel, the one exact elimination.
 
 Matrix is generic over any commutative ring element type exposing zero()/
 one() classmethods and the usual operators.  Its field algorithms need
-Cyclotomic entries: nullspace is column_kernel of the columns, and rref
-(so rank and inverse) reads the reduced form off that kernel basis.
+Cyclotomic entries: nullspace is column_kernel of the columns, and rref,
+rank and inverse read their answers off that kernel basis.
 
 Every product and every step of Berkowitz's algorithm is a sum of products
 (_dot).  A ring may provide a fused one, sum_of_products(xs, ys, n), as
@@ -156,6 +156,10 @@ class Matrix:
     def scale(self, s):
         return self.map(lambda x: x * s)
 
+    def shift(self, c):
+        """M + c I, by adding c to the diagonal only (square M)."""
+        return Matrix([[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(self.data)])
+
     def kron(self, other):
         """Kronecker product, row-major block convention."""
         out = []
@@ -196,7 +200,8 @@ class Matrix:
         return Matrix(rows), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        """cols minus the number of nullspace vectors, with no reduced rows."""
+        return self.cols - len(self.nullspace())
 
     def nullspace(self):
         """Deterministic kernel basis: column_kernel of the columns, one
@@ -204,17 +209,17 @@ class Matrix:
         return column_kernel([{i: x for i, x in enumerate(col) if not x.is_zero} for col in self.columns()])
 
     def inverse(self):
+        """X = M^-1, read off the kernel of [M | I]: the vector of free column
+        n + j is e_(n+j) - sum_p X[p][j] e_p, so X[p][j] is minus its p-th
+        coordinate.  [M | I] has rank n, so M is singular exactly when its
+        first free column is below n, where the vector is 0 from n on."""
         if not self.is_square:
             raise NonSquare("inverse of a non-square matrix")
         n = self.rows
-        zero, one = self.ring.zero(), self.ring.one()
-        aug = Matrix(
-            [list(self.data[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-        )
-        red, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
+        kernel = Matrix([row + e for row, e in zip(self.data, Matrix.identity(n, self.ring).data)]).nullspace()
+        if kernel[0][n].is_zero:
             raise DivisionByZero("matrix is singular")
-        return Matrix([row[n:] for row in red.data])
+        return Matrix([[-vec[p] for vec in kernel] for p in range(n)])
 
 
 def column_kernel(columns):
@@ -367,15 +372,13 @@ def _modular_kernel(columns):
     number of free columns, cols - rank mod l, which is at least its
     dimension, since the rank over Q is at least the rank mod l.  So the v_f
     are a basis, its last nonzero coordinates are the free columns, and it
-    is the canonical one.  A kernel that is zero modulo a prime is zero.
+    is the canonical one.  No free column mod l: the kernel is [], at once.
     """
     best = None
     for ell in _kernel_primes():
         # the integers themselves go in: _lu_kernel reduces an entry where it
         # tests or stores it, and its coordinates are residues modulo ell
         image = _lu_kernel(columns, ell.__rmod__, lambda x: pow(x, -1, ell))  # x % ell
-        if not image:
-            return []
         free = [f for f, _ in image]
         if best is None or (-len(free), free) > best:
             best, modulus, done = (-len(free), free), ell, {}
@@ -400,17 +403,13 @@ def _modular_kernel(columns):
 
 def _lifted(columns, f, residues, modulus, bound):
     """(f, den, {p: numerator}) of the vector den e_f + sum_p numerator_p e_p
-    whose coordinates have the given residues modulo modulus (see
-    _reconstructed), if it is in the kernel of the integer columns, checked
+    whose coordinates _reconstructed finds from the residues modulo modulus
+    (zeros dropped), if it is in the kernel of the integer columns, checked
     in exact integers; else None."""
-    nums = {p: (a + bound) % modulus - bound for p, a in residues.items()}
-    if max(nums.values(), default=0) <= bound:
-        den, rows = 1, dict(columns[f])  # small integers, the usual case
-    elif vec := _reconstructed(residues, modulus, bound):
-        den, nums = vec
-        rows = {k: den * x for k, x in columns[f].items()}
-    else:
+    if (vec := _reconstructed(residues, modulus, bound)) is None:
         return None
+    den, nums = vec
+    rows = {k: den * x for k, x in columns[f].items()}
     for p, a in nums.items():
         for k, x in columns[p].items():
             rows[k] = rows.get(k, 0) + a * x
@@ -520,7 +519,7 @@ def det_and_adjugate(m):
     acc = Matrix.identity(m.rows, m.ring)
     for k in range(m.rows - 1, 0, -1):  # Horner: acc * M + c_k I, and I * M = M
         prod = m if k == m.rows - 1 else acc * m
-        acc = Matrix([[x + c[k] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(prod.data)])
+        acc = prod.shift(c[k])
     return (-c[0], acc) if m.rows % 2 else (c[0], -acc)
 
 
@@ -776,15 +775,10 @@ def eigenvalues(m):
 def integer_eigenvalues(m):
     """Integer eigenvalues with geometric multiplicity: the integers among
     the rational roots of the characteristic polynomial (at most its
-    square-free degree of them), each multiplicity an exact kernel
-    dimension."""
-    n = m.rows
-    ident = Matrix.identity(n)
-    return [
-        (int(r), n - (m - ident.scale(Cyclotomic.from_rat(r))).rank())
-        for r in rational_roots(charpoly(m))
-        if is_int(r)
-    ]
+    square-free degree of them), each multiplicity the number of nullspace
+    vectors of M - r, formed by shifting the diagonal."""
+    return [(int(r), len(m.shift(Cyclotomic.from_rat(-r)).nullspace()))
+            for r in rational_roots(charpoly(m)) if is_int(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -850,22 +844,22 @@ def jordan_form(m):
 def _jordan_elimination(m):
     """jordan_form of a square matrix by elimination.
 
-    For each eigenvalue lam, with E = M - lam, every kernel ker E^k is
-    computed once, as a nullspace basis, until its dimension reaches the
-    algebraic multiplicity.  The chain tops of size s, from the largest size
-    down, are the vectors of the ker E^s basis, in basis order, that are
-    independent of ker E^(s-1) and of the chains already built: the pivot
-    columns of one rref, or the whole basis when there is nothing before it.
+    For each eigenvalue lam, with E = M - lam (the diagonal shifted by -lam),
+    every kernel ker E^k is computed once, as a nullspace basis, until its
+    dimension reaches the algebraic multiplicity.  The chain tops of size s,
+    from the largest size down, are the vectors of the ker E^s basis, in
+    basis order, that are independent of ker E^(s-1) and of the chains
+    already built: the pivot columns of one rref, or the whole basis when
+    there is nothing before it.
     There are as many as there are blocks of size s, (d_s - d_(s-1)) -
     (d_(s+1) - d_s) for d_k = dim ker E^k, so a size with none takes no
     rref.  A top v contributes the columns E^(s-1) v, ..., E v, v.  Each
     kernel and each rref is one column_kernel.
     """
-    ident = Matrix.identity(m.rows)
     blocks = []
     basis_columns = []
     for lam, mult in eigenvalues(m):
-        e1 = m - ident.scale(lam)
+        e1 = m.shift(-lam)
         power, kernels = e1, [[], e1.nullspace()]
         while len(kernels[-1]) < mult:
             power = power * e1

@@ -328,12 +328,12 @@ class Cyclotomic:
         q (Phi_r has -mu(r) != 0 at y, so s is the first degree past 0 in
         Phi_q), and x^e = x^b y^a for e = a s + b, b < s: the remainder is
         x^b times that of y^a by Phi_r, spread to every s-th coordinate.  For
-        a = phi(r) that is minus the lower coefficients of Phi_r.  Past it,
-        Phi_r is palindromic, so the quotient of y^a, read backwards, is the
-        power series 1/Phi_r cut at degree a - phi(r), and the remainder is
-        minus the low phi(r) coefficients of the quotient times Phi_r: two
-        runs of _times_cyclotomic, (a + phi(r)) d(r) steps, where a long
-        division takes (e - phi(q)) nnz(Phi_q)."""
+        a >= phi(r), Phi_r is palindromic, so the quotient of y^a, read
+        backwards, is the power series 1/Phi_r cut at degree a - phi(r), and
+        the remainder is minus the low phi(r) coefficients of the quotient
+        times Phi_r: two runs of _times_cyclotomic, (a + phi(r)) d(r) steps,
+        where a long division takes (e - phi(q)) nnz(Phi_q).  Its first case,
+        a = phi(r), has quotient 1: minus the lower coefficients of Phi_r."""
         if q < 1:
             raise ValueError("order must be positive")
         e, sign, phi = p % q, 1, euler_phi(q)
@@ -345,13 +345,10 @@ class Cyclotomic:
         while not cyclo[s]:
             s += 1
         (a, b), phi_r = divmod(e, s), phi // s
-        if a == phi_r:
-            low = [-sign * c for c in cyclo[:phi:s]]
-        else:
-            factors = _cyclotomic_factors(list(_factorize(q)))
-            # the quotient times -sign, backwards
-            backwards = _times_cyclotomic([-sign] + [0] * (a - phi_r), factors, inverse=True)
-            low = _times_cyclotomic((backwards[::-1] + [0] * phi_r)[:phi_r], factors)
+        factors = _cyclotomic_factors(list(_factorize(q)))
+        # the quotient times -sign, backwards
+        backwards = _times_cyclotomic([-sign] + [0] * (a - phi_r), factors, inverse=True)
+        low = _times_cyclotomic((backwards[::-1] + [0] * phi_r)[:phi_r], factors)
         num = [0] * phi
         num[b::s] = low
         return _normal(q, num, 1)

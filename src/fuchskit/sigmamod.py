@@ -68,9 +68,9 @@ def dual(v):
 
 
 def hom_dim(v, w):
-    """dim Hom^Z(V, W) = dim{F : F S_V = S_W F}, an exact Sylvester kernel."""
-    syl = _sylvester_operator(v.monodromy, w.monodromy)
-    return syl.cols - syl.rank()
+    """dim Hom^Z(V, W) = dim{F : F S_V = S_W F}, the number of nullspace
+    vectors of the Sylvester operator."""
+    return len(_sylvester_operator(v.monodromy, w.monodromy).nullspace())
 
 
 def isomorphism(v, w):

@@ -223,6 +223,14 @@ class TestExitCodes:
         code, out = run_cli(capsys, "exponents")
         assert code == 2
 
+    def test_input_and_json_together_is_two(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"dim": 1, "matrix": [["1/3"]]}')
+        code, out = run_cli(capsys, "exponents", "--input", str(path), "--json", '{"dim": 1, "matrix": [["0"]]}')
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidInput" and "not both" in error["message"]
+
     @pytest.mark.parametrize("argv", [
         ("--suite", "nosuch"),
         ("--cases", "0"),

@@ -21,8 +21,9 @@ from fuchskit.diffmod import (
     is_horizontal_morphism,
     laurent_matrix,
     rank_one,
+    twist_derivation,
 )
-from fuchskit.errors import NotFoundWithinBounds
+from fuchskit.errors import DerivationMismatch, NotFoundWithinBounds
 from fuchskit.expring import ExpRingElem, GroupAlgElem
 from fuchskit.functors import (
     _gauge_gives,
@@ -153,6 +154,16 @@ class TestEdgeCases:
         one, two = rank_one(0), direct_sum(rank_one(0), rank_one(0))
         assert horizontal_isomorphism(one, two) is None
         assert horizontal_isomorphism(two, one) is None
+
+    def test_isomorphism_to_a_nonconstant_module_of_other_dimension_is_none(self):
+        # no Hom basis is built, so a nonconstant module does not raise
+        # NotConstant; mixed derivations still raise DerivationMismatch
+        z, t = LaurentPoly.zero(), LaurentPoly.t_power(1)
+        m = DiffModule(laurent_matrix([[z, t], [z, z]]))
+        assert horizontal_isomorphism(rank_one(0), m) is None
+        assert horizontal_isomorphism(m, rank_one(0)) is None
+        with pytest.raises(DerivationMismatch):
+            horizontal_isomorphism(twist_derivation(rank_one(0), LaurentPoly.from_scalar(-1)), m)
 
     def test_negative_window_holds_no_sections(self):
         m = DiffModule.from_constant(Matrix([[C(Rat(1, 2))]]))
