@@ -28,8 +28,9 @@ from .linalg import (
     jordan_form,
 )
 from .ratio import Rat
-from .scalar import Cyclotomic, ExponentClass, as_cyclotomic
+from .scalar import Cyclotomic, as_cyclotomic
 from .expring import ExpRingElem, coordinates
+from . import linalg as _linalg  # column_kernel looked up at call time
 
 
 def _as_laurent_entry(x):
@@ -71,8 +72,9 @@ def laurent_matrix_inverse(m):
 class DiffModule:
     """Finite free differential module, given by its connection matrix.
 
-    twist is None for the standard derivation t*d/dt; after twisting it
-    records the unit h with derivation h * t*d/dt.  Operations refuse to mix
+    twist is None for the standard derivation t*d/dt and otherwise the unit
+    h = c*t^m != 1 of the derivation h * t*d/dt: a twist of 1 is stored as
+    None, one that is not a unit raises NotAUnit.  Operations refuse to mix
     modules over different derivations.
     """
 
@@ -83,6 +85,11 @@ class DiffModule:
         matrix = laurent_matrix(matrix)
         if not matrix.is_square:
             raise DimensionMismatch("connection matrix must be square")
+        if twist is not None:
+            twist = _as_laurent_entry(twist)
+            if not twist.is_unit:
+                raise NotAUnit(f"{twist!r} is not a unit of K[t,1/t]")
+            twist = None if twist == LaurentPoly.one() else twist
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "twist", twist)
 
@@ -110,9 +117,7 @@ class DiffModule:
         return c
 
     def _same_derivation(self, other):
-        st = self.twist if self.twist is not None else LaurentPoly.one()
-        ot = other.twist if other.twist is not None else LaurentPoly.one()
-        if st != ot:
+        if self.twist != other.twist:
             raise DerivationMismatch("modules live over different derivations")
 
     def require_standard_derivation(self):
@@ -127,9 +132,7 @@ class DiffModule:
     def __eq__(self, other):
         if not isinstance(other, DiffModule):
             return NotImplemented
-        st = self.twist if self.twist is not None else LaurentPoly.one()
-        ot = other.twist if other.twist is not None else LaurentPoly.one()
-        return self.matrix == other.matrix and st == ot
+        return self.matrix == other.matrix and self.twist == other.twist
 
     def __repr__(self):
         tag = "t d/dt" if self.twist is None else f"({self.twist!r}) * t d/dt"
@@ -138,9 +141,7 @@ class DiffModule:
 
 def rank_one(a):
     """N(a): the one dimensional module with constant matrix a."""
-    if isinstance(a, ExponentClass):
-        a = a.value
-    return DiffModule(laurent_matrix([[as_cyclotomic(a)]]))
+    return DiffModule([[a]])
 
 
 def base_change(module, h):
@@ -202,13 +203,8 @@ def invert_coordinate(m):
 
 
 def twist_derivation(m, h):
-    """View the module over the derivation h * (t d/dt), h a unit of A."""
-    h = _as_laurent_entry(h)
-    if not h.is_unit:
-        raise NotAUnit(f"{h!r} is not a unit of K[t,1/t]")
-    current = m.twist if m.twist is not None else LaurentPoly.one()
-    combined = current * h
-    return DiffModule(m.matrix, twist=None if combined == LaurentPoly.one() else combined)
+    """View the module over h times its derivation, h a unit of A."""
+    return DiffModule(m.matrix, twist=h if m.twist is None else m.twist * h)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +288,14 @@ def _constant_factor(columns, k):
     """The R with V = U R for the columns [U | V], given as dicts from
     sortable coordinate keys to entries, U the first k of them.
 
-    One rref (one column_kernel) of the columns over their joint keys, in
-    key order: R is unique exactly when the pivots are the columns of U, and
-    it is then the top right block."""
-    keys = sorted(set().union(*columns))
-    zero = Cyclotomic.zero()
-    red, pivots = Matrix.from_columns([[col.get(key, zero) for key in keys] for col in columns]).rref()
-    if pivots != tuple(range(k)):
+    Read off the canonical kernel, as Matrix.inverse reads X: R is unique
+    exactly when the free columns are those of V (len(columns) - k vectors,
+    the first nonzero at k), and R[p][j] is minus coordinate p of the
+    vector of free column k + j."""
+    kernel = _linalg.column_kernel(columns)
+    if len(kernel) != len(columns) - k or kernel[0][k].is_zero:
         raise ArithmeticError("no unique constant factor")
-    return Matrix([row[k:] for row in red.data[:k]])
+    return Matrix([[-vec[p] for vec in kernel] for p in range(k)])
 
 
 # ---------------------------------------------------------------------------

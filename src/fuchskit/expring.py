@@ -103,16 +103,12 @@ class GroupAlgElem:
                 out.pop(a, None)
             else:
                 out[a] = s
-        result = GroupAlgElem()
-        object.__setattr__(result, "parts", out)
-        return result
+        return _make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = GroupAlgElem()
-        object.__setattr__(result, "parts", {a: -f for a, f in self.parts.items()})
-        return result
+        return _make({a: -f for a, f in self.parts.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -139,9 +135,7 @@ class GroupAlgElem:
                     out.pop(key, None)
                 else:
                     out[key] = acc
-        result = GroupAlgElem()
-        object.__setattr__(result, "parts", out)
-        return result
+        return _make(out)
 
     __rmul__ = __mul__
 
@@ -189,6 +183,13 @@ class GroupAlgElem:
             f"({f!r})*t^({a!r})" if not a.is_zero else f"({f!r})"
             for a, f in sorted(self.parts.items(), key=lambda kv: kv[0].value)
         )
+
+
+def _make(parts):
+    """GroupAlgElem of parts already in normal form (no validation)."""
+    result = object.__new__(GroupAlgElem)
+    object.__setattr__(result, "parts", parts)
+    return result
 
 
 class ExpRingElem:

@@ -198,8 +198,6 @@ def decode_diffmodule(doc, name="differential module"):
     if derivation != "t d/dt":
         _expect_dict(derivation, f"{name}.derivation", ("twist",))
         twist = decode_laurent(derivation["twist"], f"{name}.derivation.twist")
-        if twist == LaurentPoly.one():
-            twist = None
     return DiffModule(matrix, twist=twist)
 
 

@@ -105,16 +105,12 @@ class LaurentPoly:
                 out.pop(d, None)
             else:
                 out[d] = s
-        result = LaurentPoly()
-        object.__setattr__(result, "terms", out)
-        return result
+        return _make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = LaurentPoly()
-        object.__setattr__(result, "terms", {d: -c for d, c in self.terms.items()})
-        return result
+        return _make({d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -129,9 +125,7 @@ class LaurentPoly:
                 return NotImplemented
             if c.is_zero:
                 return LaurentPoly()
-            result = LaurentPoly()
-            object.__setattr__(result, "terms", {d: x * c for d, x in self.terms.items()})
-            return result
+            return _make({d: x * c for d, x in self.terms.items()})
         out = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
@@ -143,9 +137,7 @@ class LaurentPoly:
                     out.pop(d, None)
                 else:
                     out[d] = s
-        result = LaurentPoly()
-        object.__setattr__(result, "terms", out)
-        return result
+        return _make(out)
 
     __rmul__ = __mul__
 
@@ -174,9 +166,7 @@ class LaurentPoly:
             c = Cyclotomic.sum_of_products(cs1, cs2, n)
             if not c.is_zero:
                 out[d] = c
-        result = LaurentPoly()
-        object.__setattr__(result, "terms", out)
-        return result
+        return _make(out)
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -194,9 +184,7 @@ class LaurentPoly:
 
     def substitute_inverse(self):
         """t -> 1/t."""
-        result = LaurentPoly()
-        object.__setattr__(result, "terms", {-d: c for d, c in self.terms.items()})
-        return result
+        return _make({-d: c for d, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -209,6 +197,13 @@ class LaurentPoly:
             else:
                 parts.append(f"({c!r})*t^{d}")
         return " + ".join(parts)
+
+
+def _make(terms):
+    """LaurentPoly of terms already in normal form (no validation)."""
+    result = object.__new__(LaurentPoly)
+    object.__setattr__(result, "terms", terms)
+    return result
 
 
 class PackedMatrix:

@@ -47,10 +47,7 @@ class SigmaModule:
 
 def rank_one(lam):
     """V_lam: sigma acts by multiplication by lam != 0."""
-    lam = as_cyclotomic(lam)
-    if lam.is_zero:
-        raise ZeroEigenvalue("rank-one monodromy eigenvalue must be nonzero")
-    return SigmaModule(Matrix([[lam]]))
+    return SigmaModule([[lam]])
 
 
 def direct_sum(v, w):

@@ -192,6 +192,15 @@ class TestDeterminism:
         assert jsonio.decode_diffmodule(json.loads(out)) == rm(v_rank_one(Cyclotomic.from_rat(-1)))
 
 
+class TestTwistOfOne:
+    @pytest.mark.parametrize("command", ["exponents", "mon", "constant-form", "fuchs"])
+    def test_same_bytes_as_the_standard_derivation(self, capsys, command):
+        matrix = '"dim": 2, "matrix": [[{}, {"1": "1"}], [{}, {"0": "1/2"}]]'
+        standard = run_cli(capsys, command, "--json", f"{{{matrix}}}")
+        assert standard[0] == 0
+        assert run_cli(capsys, command, "--json", f'{{{matrix}, "derivation": {{"twist": "1"}}}}') == standard
+
+
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
         code, out = run_cli(capsys, "constant-form", "--json",
@@ -209,6 +218,12 @@ class TestExitCodes:
         code, out = run_cli(capsys, "rm", "--json", '{"dim": 1, "monodromy": [["2"]]}')
         assert code == 1
         assert json.loads(out)["error"]["type"] == "NotRootOfUnity"
+
+    def test_non_unit_twist_is_one(self, capsys):
+        code, out = run_cli(capsys, "exponents", "--json",
+                            '{"dim": 1, "matrix": [["0"]], "derivation": {"twist": "0"}}')
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NotAUnit"
 
     def test_malformed_json_is_two(self, capsys):
         code, out = run_cli(capsys, "exponents", "--json", "{nope")

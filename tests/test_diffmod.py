@@ -37,7 +37,7 @@ from fuchskit.errors import (
     NotInvertibleOverA,
 )
 from fuchskit.expring import ExpRingElem
-from fuchskit.functors import horizontal_isomorphism
+from fuchskit.functors import exponents, horizontal_isomorphism
 from fuchskit.generate import Sizes, rand_constant_module, rand_shearing_gauge
 from fuchskit.laurent import LaurentPoly
 from fuchskit.linalg import Matrix, jordan_form
@@ -168,6 +168,19 @@ class TestTwist:
     def test_non_unit_rejected(self):
         with pytest.raises(NotAUnit):
             twist_derivation(rank_one(0), LaurentPoly({0: 1, 1: 1}))
+
+    def test_twist_of_one_is_the_standard_derivation(self):
+        m = rank_one(Rat(1, 2))
+        one = DiffModule(m.matrix, twist=LaurentPoly.one())
+        assert one.twist is None and one == m
+        assert exponents(one) == exponents(m)
+        assert direct_sum(one, m).twist is None and direct_sum(m, one).twist is None
+        assert twist_derivation(twist_derivation(m, -1), -1).twist is None
+
+    @pytest.mark.parametrize("twist", [0, LaurentPoly({0: 1, 1: 1})], ids=["zero", "one_plus_t"])
+    def test_non_unit_twist_rejected_at_construction(self, twist):
+        with pytest.raises(NotAUnit):
+            DiffModule(rank_one(0).matrix, twist=twist)
 
     def test_mixed_tags_refused(self):
         tw = twist_derivation(rank_one(0), LaurentPoly.from_scalar(-1))

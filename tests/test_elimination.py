@@ -8,6 +8,8 @@ conductor-3/4 matrices (zero, wide, square and tall), rref, rank, inverse,
 match_right_factor and the elimination path of jordan_form give the values
 of the dense path, with the same conductor labels on single-conductor input
 and labels by the 3/12 and 4/12 rule of test_column_kernel on mixed input.
+diffmod._constant_factor, behind match_right_factor and _section_monodromy,
+is compared with its old dense form the same way.
 """
 
 import random
@@ -15,10 +17,12 @@ import random
 import pytest
 
 from conftest import KINDS, assert_same_basis, dense_nullspace, dense_rref, rand_columns, rand_entry
-from fuchskit import linalg
+from test_seed_blocks import sheared
+from fuchskit import diffmod, functors, linalg
 from fuchskit.diffmod import DiffModule, fundamental_matrix, match_right_factor
 from fuchskit.errors import DivisionByZero, NonSquare
 from fuchskit.expring import ExpRingElem
+from fuchskit.jsonio import encode_cyclotomic, encode_matrix
 from fuchskit.linalg import Matrix, _jordan_elimination
 from fuchskit.ratio import Rat
 from fuchskit.scalar import Cyclotomic
@@ -167,6 +171,84 @@ class TestMatchRightFactorAgainstDense:
             for fn in (match_right_factor, lambda *a: through_dense(monkeypatch, match_right_factor, *a)):
                 with pytest.raises(ArithmeticError, match="no unique constant factor"):
                     fn(dependent, u)
+
+
+def old_constant_factor(columns, k, rref=dense_rref):
+    """diffmod._constant_factor as it was before it read R off the canonical
+    kernel: the columns filled with zeros into a matrix over their sorted
+    joint keys, its reduced rows, and R the top right block when the pivots
+    are the columns of U.  With conftest.dense_rref it is the dense oracle."""
+    keys = sorted(set().union(*columns))
+    red, pivots = rref(Matrix.from_columns([[col.get(key, ZERO) for key in keys] for col in columns]))
+    if pivots != tuple(range(k)):
+        raise ArithmeticError("no unique constant factor")
+    return Matrix([row[k:] for row in red.data[:k]])
+
+
+class TestConstantFactorAgainstDense:
+    """_constant_factor reads R off column_kernel; patched into diffmod and
+    functors, old_constant_factor runs match_right_factor and
+    _section_monodromy the old way.  With the library's rref the old way
+    gives the same labels on every kind, since column_kernel visits the keys
+    in the same order whether they are tuples or their sorted positions."""
+
+    @staticmethod
+    def old_way(monkeypatch, fn, *args, rref=dense_rref):
+        def old(columns, k):
+            return old_constant_factor(columns, k, rref)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(diffmod, "_constant_factor", old)
+            patch.setattr(functors, "_constant_factor", old)
+            return fn(*args)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unique_factors(self, kind, monkeypatch):
+        rng = random.Random(f"constant-factor:{kind}")
+        for _ in range(6):
+            n = rng.randint(1, 3)
+            u = fundamental_of(rng, kind, n)
+            k = rng.randint(1, 3)
+            r = Matrix([[rand_entry(rng, kind) for _ in range(k)] for _ in range(n)])
+            for v in (u * r.map(ExpRingElem.from_scalar), u.map(lambda x: x.sigma())):
+                got = match_right_factor(u, v)
+                assert_same_matrix(got, self.old_way(monkeypatch, match_right_factor, u, v), kind)
+                same_bytes = self.old_way(monkeypatch, match_right_factor, u, v, rref=Matrix.rref)
+                assert encode_matrix(got, encode_cyclotomic) == encode_matrix(same_bytes, encode_cyclotomic)
+            assert match_right_factor(u, u * r.map(ExpRingElem.from_scalar)) == r
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_unique_factor_raises(self, kind, monkeypatch):
+        rng = random.Random(f"constant-factor-dependent:{kind}")
+        for _ in range(4):
+            u = fundamental_of(rng, kind, 2)
+            x = ExpRingElem.from_scalar(rand_entry(rng, kind))
+            dependent = Matrix([[row[0], row[0] * x] for row in u.data])
+            for fn in (match_right_factor, lambda *a: self.old_way(monkeypatch, match_right_factor, *a)):
+                with pytest.raises(ArithmeticError, match="no unique constant factor"):
+                    fn(dependent, u)
+
+    @pytest.mark.parametrize(
+        "superdiagonal",
+        [Cyclotomic.from_rat(1), Cyclotomic.root_of_unity(12), Cyclotomic.root_of_unity(5) + Rat(1, 2)],
+        ids=["rational", "conductor12", "conductor5"],
+    )
+    def test_section_monodromy_of_sheared_modules(self, superdiagonal, monkeypatch):
+        rng = random.Random(f"constant-factor-sheared:{superdiagonal!r}")
+        for _ in range(4):
+            module, exps = sheared(rng, superdiagonal)
+            sections, _ = functors._section_search(module, module.matrix, exps, 4)
+            assert len(sections) == module.dim
+            got = encode_matrix(functors._section_monodromy(sections), encode_cyclotomic)
+            assert got == encode_matrix(self.old_way(monkeypatch, functors._section_monodromy, sections),
+                                        encode_cyclotomic)
+
+    def test_zero_u_raises(self):
+        # the zero columns have no keys: the old way raised ValueError from
+        # Matrix's constructor on the empty matrix
+        zero = Matrix([[ExpRingElem.zero()]])
+        with pytest.raises(ArithmeticError, match="no unique constant factor"):
+            match_right_factor(zero, zero)
 
 
 class TestJordanEliminationAgainstDense:
