@@ -106,10 +106,6 @@ class DiffModule:
     def dim(self):
         return self.matrix.rows
 
-    @property
-    def is_constant(self):
-        return constant_matrix_of(self.matrix) is not None
-
     def constant_matrix(self):
         c = constant_matrix_of(self.matrix)
         if c is None:
@@ -256,21 +252,6 @@ def expring_matrix_is_horizontal(u, g):
     return du == -(g_e * u)
 
 
-def expring_unit_inverse(x):
-    """Inverse of a unit c * t^g of E_A (monomials are the only units)."""
-    if len(x.ell) != 1:
-        raise NotAUnit("units of E_A have no ell part")
-    g = x.ell[0]
-    if len(g.parts) != 1:
-        raise NotAUnit("units of E_A are monomials")
-    ((a, f),) = g.parts.items()
-    if not f.is_unit:
-        raise NotAUnit("units of E_A are monomials")
-    inv_laurent = f.unit_inverse()
-    neg_a = ExpRingElem.t_power(-a.value)
-    return neg_a * ExpRingElem.from_laurent(inv_laurent)
-
-
 def match_right_factor(u, v):
     """The constant matrix R with V = U * R (columns of V in the span of the
     columns of U over K); raises if no exact unique solution exists."""
@@ -349,11 +330,10 @@ def _hom_basis(c1, c2, spectrum1, spectrum2):
 
 
 def is_horizontal_morphism(f, m1, m2):
-    """partial(F) + G2 F - F G1 = 0, exactly (any Laurent matrices)."""
-    df = f.map(lambda x: m1.derive(x))
-    return (df + m2.matrix * f - f * m1.matrix) == Matrix.zeros(
-        f.rows, f.cols, LaurentPoly
-    )
+    """partial(F) + G2 F = F G1, exactly (any Laurent matrices); modules over
+    different derivations raise DerivationMismatch."""
+    m1._same_derivation(m2)
+    return f.map(m1.derive) + m2.matrix * f == f * m1.matrix
 
 
 def h1_dimension(module):

@@ -13,6 +13,7 @@ results are reproducible.
 
 from math import comb, factorial
 
+from .errors import DivisionByZero
 from .laurent import LaurentPoly, solve_partial_plus_a
 from .linalg import column_kernel
 from .ratio import Rat, rat_floor
@@ -167,9 +168,10 @@ class GroupAlgElem:
 
     def dsigma_preimage(self):
         """Componentwise inverse of d_sigma on the classes a != 0 (where it
-        scales by gamma(a) - 1); requires a vanishing class-0 part."""
+        scales by gamma(a) - 1).  d_sigma is zero on class 0, so a nonzero
+        class-0 part raises DivisionByZero."""
         if not self.laurent_part.is_zero:
-            raise AssertionError("d_sigma preimage requires zero class-0 part")
+            raise DivisionByZero("d_sigma is zero on class 0, so a nonzero class-0 part has no preimage")
         out = {}
         for a, f in self.parts.items():
             scale = _scalar.gamma(a) - Cyclotomic.one()
@@ -246,10 +248,6 @@ class ExpRingElem:
     @property
     def is_zero(self):
         return not self.ell
-
-    @property
-    def ell_degree(self):
-        return len(self.ell) - 1 if self.ell else None
 
     def coeff(self, k):
         return self.ell[k] if 0 <= k < len(self.ell) else GroupAlgElem.zero()

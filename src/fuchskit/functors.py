@@ -13,8 +13,7 @@ coefficient runs in the Laurent ring and the Cyclotomic elimination, whose
 labels the library prints.  For rational G the search operator
 T = partial + a + G and its chain steps w -> -T(w)/k run on
 laurent.PackedMatrix, unpacked only in the chains handed back, and the
-window's integer seed images go to linalg's certified modular elimination;
-a rational triple (H, G, C) is gauge-checked, partial(H) + H G = C H, packed.
+window's integer seed images go to linalg's certified modular elimination.
 """
 
 from math import comb, factorial, lcm
@@ -347,16 +346,10 @@ def _section_monodromy(sections):
 def _gauge_gives(module, h, c):
     """Whether the gauge H takes G to the matrix C, given that H is
     invertible: G' = (partial(H) + H G) H^-1, so G' = C exactly when
-    partial(H) + H G = C H, which needs no inverse of H.  A rational triple
-    is checked packed, in integers; one with an irrational coefficient (H
-    carries the monodromy's roots of unity even for rational G) in the
-    Laurent ring.  The answer is a value comparison either way."""
-    module.require_standard_derivation()
-    g = module.matrix
-    if LaurentPoly.labels(f for m in (h, g, c) for row in m.data for f in row) <= {1}:
-        hp, gp, cp = (PackedMatrix.from_rows(m.data) for m in (h, g, c))
-        return hp.partial_plus(0) + hp * gp == cp * hp
-    return h.map(LaurentPoly.partial) + h * g == c * h
+    partial(H) + H G = C H, which needs no inverse of H.  Both sides are
+    compared by value in the Laurent ring.  The callers have checked that
+    the module is over the standard derivation."""
+    return h.map(LaurentPoly.partial) + h * module.matrix == c * h
 
 
 def _horizontal_is_invertible(f):

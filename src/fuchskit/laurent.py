@@ -210,7 +210,8 @@ class PackedMatrix:
     """A rational Laurent matrix in integers: one positive denominator D and,
     keyed by (degree, row, column), the integer numerators of its nonzero
     coefficients, so entry (i, j) is sum_e nums[e, i, j] t^e / D, in lowest
-    terms.  A row vector is a matrix with one row.
+    terms.  A row vector is a matrix with one row.  It carries the window
+    search's operator and chain steps for rational G (functors).
 
     Sums, products and the derivation make no Cyclotomic: they work on plain
     ints, a sum over one denominator.  Only rational matrices are packed;
@@ -279,10 +280,6 @@ class PackedMatrix:
                 key = e + f, i, j
                 nums[key] = nums.get(key, 0) + x * y
         return self._reduced(self.den * other.den, nums, other.cols)
-
-    def __eq__(self, other):
-        # both are in lowest terms, so equal values are stored alike
-        return (self.den, self.nums) == (other.den, other.nums)
 
 
 def partial(f):

@@ -187,6 +187,19 @@ class TestTwist:
         with pytest.raises(DerivationMismatch):
             tensor(tw, rank_one(0))
 
+    def test_horizontal_morphism_refuses_mixed_derivations(self):
+        # F = [[1]] satisfies partial(F) + G2 F = F G1 for G1 = G2 = 0, but
+        # the two modules live over 2 t d/dt and t d/dt, as horizontal_hom
+        # also refuses
+        m1, m2 = twist_derivation(rank_one(0), 2), rank_one(0)
+        f = laurent_matrix([[1]])
+        for a, b in ((m1, m2), (m2, m1)):
+            with pytest.raises(DerivationMismatch):
+                is_horizontal_morphism(f, a, b)
+            with pytest.raises(DerivationMismatch):
+                horizontal_hom(a, b)
+        assert is_horizontal_morphism(f, m1, m1) and is_horizontal_morphism(f, m2, m2)
+
     def test_hom_ext_and_h1_refuse_a_twist(self):
         # over 2 t d/dt the connection of Hom(N(0), N(1)) acts on the mode
         # t^k by 2k + 1, never 0; the integer modes of t d/dt gave t^-1

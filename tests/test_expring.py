@@ -1,9 +1,11 @@
 """The exponent ring: derivation, monodromy, binomial basis, solvers."""
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import exprings
 
+from fuchskit.errors import DivisionByZero
 from fuchskit.expring import (
     ExpRingElem,
     GroupAlgElem,
@@ -36,7 +38,7 @@ class TestDerivation:
 
     def test_stabilizes_group_algebra(self):
         x = E.t_power(Rat(5, 3))
-        assert x.partial().ell_degree == 0
+        assert len(x.partial().ell) == 1
 
 
 class TestGroupAlgebra:
@@ -123,6 +125,29 @@ class TestSolveDsigma:
     @settings(max_examples=50, deadline=None)
     def test_surjectivity_roundtrip(self, y):
         assert solve_dsigma(y).dsigma() == y
+
+    def test_preimage_of_a_class_zero_part_is_a_typed_error(self):
+        # d_sigma is zero on class 0, so no preimage exists there
+        for x in (GroupAlgElem.one(), GroupAlgElem.one() + GroupAlgElem.t_power(Rat(1, 2))):
+            with pytest.raises(DivisionByZero):
+                x.dsigma_preimage()
+
+    @given(exprings())
+    @settings(max_examples=30, deadline=None)
+    def test_solver_passes_no_class_zero_part(self, y):
+        # the free A-components of solve_dsigma clear class 0 at every level
+        seen, preimage = [], GroupAlgElem.dsigma_preimage
+
+        def recorded(x):
+            seen.append(x.laurent_part.is_zero)
+            return preimage(x)
+
+        GroupAlgElem.dsigma_preimage = recorded
+        try:
+            solve_dsigma(y)
+        finally:
+            GroupAlgElem.dsigma_preimage = preimage
+        assert all(seen) and len(seen) == len(y.ell)
 
 
 class TestSolvePartial:
