@@ -299,44 +299,6 @@ class ExpRingElem:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def labels(values):
-        """The conductor labels of the coefficients of the values."""
-        return LaurentPoly.labels(f for x in values for g in x.ell for f in g.parts.values())
-
-    @staticmethod
-    def sum_of_products(xs, ys, n):
-        """sum x*y over the pairs, for coefficient labels 1 and n only: the
-        Laurent factor pairs grouped by (ell-degree, class), with a class sum
-        past 1 carried as t^spill on the right factor as in
-        GroupAlgElem.__mul__; one LaurentPoly.sum_of_products per group, zero
-        sums dropped."""
-        groups = {}
-        for x, y in zip(xs, ys):
-            if not x.ell:
-                continue
-            parts = [(k, b.value, g) for k, h in enumerate(y.ell) for b, g in h.parts.items()]
-            for k1, h in enumerate(x.ell):
-                for a, f in h.parts.items():
-                    for k2, b, g in parts:
-                        s = a.value + b
-                        spill = rat_floor(s)
-                        if spill:
-                            s -= spill
-                            g = LaurentPoly({d + spill: c for d, c in g.terms.items()})
-                        pair = groups.get((k1 + k2, s))
-                        if pair is None:
-                            groups[k1 + k2, s] = [f], [g]
-                        else:
-                            pair[0].append(f)
-                            pair[1].append(g)
-        ell = {}
-        for (k, a), (fs, gs) in groups.items():
-            f = LaurentPoly.sum_of_products(fs, gs, n)
-            if not f.is_zero:
-                ell.setdefault(k, {})[a] = f
-        return ExpRingElem([GroupAlgElem(ell.get(k)) for k in range(max(ell, default=-1) + 1)])
-
     def __eq__(self, other):
         other = self._coerced(other)
         if other is None:

@@ -49,7 +49,7 @@ from .linalg import (
 )
 from .ratio import Rat
 from .scalar import Cyclotomic, ExponentClass, _common_numerators, _normal, gamma, gamma_inverse
-from .sigmamod import SigmaModule
+from .sigmamod import _make as _sigma_module
 
 DEFAULT_DEGREE_BOUND = 8
 
@@ -474,7 +474,7 @@ def _mon_blocks(blocks):
 
 def _mon_of_blocks(blocks):
     """mon of a constant module from the Jordan blocks (a, n) of its matrix."""
-    return SigmaModule(Matrix.block_diag([jordan_block(lam, size) for lam, size in _mon_blocks(blocks)]))
+    return _sigma_module(Matrix.block_diag([jordan_block(lam, size) for lam, size in _mon_blocks(blocks)]))
 
 
 def rm(v):

@@ -8,13 +8,14 @@ rank and inverse read their answers off that kernel basis.
 
 Every product and every step of Berkowitz's algorithm is a sum of products
 (_dot).  A ring may provide a fused one, sum_of_products(xs, ys, n), as
-Cyclotomic, LaurentPoly and ExpRingElem do: one reduction modulo Phi_n and
-one gcd per coefficient instead of one per term.  Its bytes are the left
-fold's by the label rule: the fold's label is the lcm of the labels met,
-demoted to 1 only at a rational value, so when the coefficients carry
-labels 1 and one n, every partial sum is at 1 or n, 1 exactly when
-rational, and the label follows from the value.  With two or more
-irrational labels the fold runs as it is, in its order.
+Cyclotomic and LaurentPoly do: one reduction modulo Phi_n and one gcd per
+coefficient instead of one per term.  Its bytes are the left fold's by the
+label rule: the fold's label is the lcm of the labels met, demoted to 1
+only at a rational value, so when the coefficients carry labels 1 and one
+n, every partial sum is at 1 or n, 1 exactly when rational, and the label
+follows from the value.  Other sums (E_A, two or more irrational labels,
+mixed types) take the left fold in its order, skipping the pairs with a
+zero factor: a zero adds neither value nor label.
 
 column_kernel takes rational columns modulo primes and certifies the lifted
 basis exactly (each vector in the kernel, cols - rank mod l of them); columns
@@ -441,9 +442,10 @@ def _reconstructed(residues, modulus, bound):
 def _fused_label(*blocks):
     """The label n at which _dot may take the ring's sum_of_products over
     the entries of these blocks of rows: when they all have one type whose
-    ring has one, and their coefficients carry the label 1 and at most one
-    n > 1 (n = 1 for rational ones).  Else None, for the left fold: with two
-    or more irrational labels, a value's label depends on the order of the
+    ring has one (Cyclotomic or LaurentPoly), and their coefficients carry
+    the label 1 and at most one n > 1 (n = 1 for rational ones).  Else None,
+    for the left fold: E_A and mixed types have no kernel, and with two or
+    more irrational labels, a value's label depends on the order of the
     operations that made it, and only the fold reproduces it.  A product or
     Berkowitz's algorithm makes no label outside those of its operands, so
     this is decided once per call, not per sum."""
@@ -459,16 +461,15 @@ def _fused_label(*blocks):
 
 def _dot(xs, ys, label=None):
     """sum x*y over the pairs: the ring's sum_of_products at the label
-    _fused_label found, or the left fold acc + x*y for label None and for a
-    one-term sum, the product itself."""
+    _fused_label found, else the left fold acc + x*y over the pairs without
+    a zero factor, or x0*y0 (the ring's zero) when every pair has one."""
     if label is not None and len(xs) > 1:
         return type(xs[0]).sum_of_products(xs, ys, label)
-    it = zip(xs, ys)
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
+    acc = None
+    for x, y in zip(xs, ys):
+        if not (x.is_zero or y.is_zero):
+            acc = x * y if acc is None else acc + x * y
+    return xs[0] * ys[0] if acc is None else acc
 
 
 def _berkowitz(m):

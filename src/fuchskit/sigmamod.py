@@ -15,7 +15,11 @@ from .diffmod import _sylvester_operator
 
 
 class SigmaModule:
-    """A K-vector space with a distinguished automorphism (the monodromy)."""
+    """A K-vector space with a distinguished automorphism (the monodromy).
+
+    Input from outside is checked to be invertible: SigmaModule(...),
+    rank_one and jsonio.decode_sigmamodule.  Modules the library builds
+    from invertible parts (mon, direct_sum, tensor, dual) take _make."""
 
     __slots__ = ("monodromy",)
     __hash__ = None
@@ -45,23 +49,31 @@ class SigmaModule:
         return f"SigmaModule(dim={self.dim}, monodromy={self.monodromy!r})"
 
 
+def _make(monodromy):
+    """SigmaModule of a square Cyclotomic matrix known to be invertible (no
+    determinant)."""
+    result = object.__new__(SigmaModule)
+    object.__setattr__(result, "monodromy", monodromy)
+    return result
+
+
 def rank_one(lam):
     """V_lam: sigma acts by multiplication by lam != 0."""
     return SigmaModule([[lam]])
 
 
 def direct_sum(v, w):
-    return SigmaModule(Matrix.block_diag([v.monodromy, w.monodromy]))
+    return _make(Matrix.block_diag([v.monodromy, w.monodromy]))
 
 
 def tensor(v, w):
     """g(v (x) w) = g(v) (x) g(w): the Kronecker product of the operators."""
-    return SigmaModule(v.monodromy.kron(w.monodromy))
+    return _make(v.monodromy.kron(w.monodromy))
 
 
 def dual(v):
     """Hom(V, K) with g(f) = g o f o g^-1: the inverse transpose."""
-    return SigmaModule(v.monodromy.transpose().inverse())
+    return _make(v.monodromy.transpose().inverse())
 
 
 def hom_dim(v, w):

@@ -1,11 +1,18 @@
 """Representations of Z: constructions, classification, trivialization."""
 
+import importlib.util
+import json
+import os
+import random
+
 import pytest
 
-from fuchskit import jsonio
+from fuchskit import jsonio, sigmamod
+from fuchskit.cli import main
 from fuchskit.errors import ZeroEigenvalue
 from fuchskit.expring import ExpRingElem, solve_dsigma
-from fuchskit.generate import Sizes, rand_invertible_constant, rand_sigma_module
+from fuchskit.functors import mon
+from fuchskit.generate import Sizes, rand_constant_module, rand_invertible_constant, rand_sigma_module
 from fuchskit.linalg import Matrix, det_cofactor, jordan_block
 from fuchskit.ratio import Rat
 from fuchskit.scalar import Cyclotomic, gamma
@@ -50,6 +57,74 @@ class TestConstructions:
     def test_direct_sum(self):
         s = direct_sum(rank_one(C(1)), rank_one(C(-1)))
         assert s.monodromy == Matrix([[C(1), C(0)], [C(0), C(-1)]])
+
+
+def _perfbench_cases():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "cases.py")
+    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBuiltModulesTakeNoDeterminant:
+    """SigmaModule(...) proves its monodromy invertible by a determinant;
+    mon, direct_sum, tensor and dual build theirs from invertible parts and
+    take none.  Counted through a patched sigmamod.det_cofactor."""
+
+    @pytest.fixture
+    def dets(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m.rows)
+            return det_cofactor(m)
+
+        monkeypatch.setattr(sigmamod, "det_cofactor", counting)
+        return calls
+
+    def test_constructions_equal_the_checked_ones(self, dets):
+        rng = random.Random(26)
+        for _ in range(6):
+            v = rand_sigma_module(rng, Sizes(max_dim=3))
+            w = rand_sigma_module(rng, Sizes(max_dim=3))
+            del dets[:]
+            built = [direct_sum(v, w), tensor(v, w), dual(v)]
+            assert dets == []
+            assert built == [
+                SigmaModule(Matrix.block_diag([v.monodromy, w.monodromy])),
+                SigmaModule(v.monodromy.kron(w.monodromy)),
+                SigmaModule(v.monodromy.transpose().inverse()),
+            ]
+            assert len(dets) == 3
+
+    def test_mon_of_constant_modules(self, dets):
+        rng = random.Random(27)
+        for _ in range(6):
+            module = rand_constant_module(rng, Sizes(max_dim=4))
+            del dets[:]
+            v = mon(module)
+            assert dets == []
+            assert v == SigmaModule(v.monodromy)
+            assert v.monodromy.ring is Cyclotomic
+
+    def test_dim_8_conductor_12_tensor(self, dets):
+        cases = _perfbench_cases()
+        v = cases.sigma_module(random.Random("a"), random.Random("b"), 8, 12, coprime=True)
+        w = cases.sigma_module(random.Random("c"), random.Random("d"), 8, 12, coprime=True)
+        del dets[:]
+        vw = tensor(v, w)
+        assert dets == []
+        assert vw.dim == 64
+        assert vw.monodromy == v.monodromy.kron(w.monodromy)
+
+    def test_singular_input_still_raises(self, capsys):
+        with pytest.raises(ZeroEigenvalue):
+            SigmaModule([[C(1), C(2)], [C(2), C(4)]])
+        with pytest.raises(ZeroEigenvalue):
+            rank_one(0)
+        assert main(["rm", "--json", '{"dim": 2, "monodromy": [["1", "1"], ["1", "1"]]}']) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ZeroEigenvalue"
 
 
 class TestHomDim:
