@@ -27,18 +27,6 @@ from .functors import (
 from .diffmod import DiffModule, ext_dim
 from .sigmamod import trivialize
 
-DATA_COMMANDS = (
-    "exponents",
-    "mon",
-    "rm",
-    "constant-form",
-    "fuchs",
-    "solve",
-    "hom",
-    "ext",
-    "trivialize",
-)
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -59,9 +47,8 @@ def build_parser():
         "verify": "run the seeded property suites",
     }
     parsers = {}
-    for name in DATA_COMMANDS + ("verify",):
-        p = sub.add_parser(name, help=descriptions[name])
-        parsers[name] = p
+    for name, description in descriptions.items():
+        p = parsers[name] = sub.add_parser(name, help=description)
         if name != "verify":
             p.add_argument("--input", help="path to the JSON input ('-' for stdin)")
             p.add_argument("--json", dest="inline", help="inline JSON input")
@@ -84,11 +71,11 @@ def build_parser():
 
 
 def _read_input(args):
-    if getattr(args, "inline", None) is not None and getattr(args, "input", None) is not None:
+    if args.inline is not None and args.input is not None:
         raise InputError("give either --input or --json, not both")
-    if getattr(args, "inline", None) is not None:
+    if args.inline is not None:
         text = args.inline
-    elif getattr(args, "input", None) is not None:
+    elif args.input is not None:
         try:
             text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

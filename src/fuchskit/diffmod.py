@@ -49,15 +49,9 @@ def laurent_matrix(rows):
 
 def constant_matrix_of(m):
     """Extract the Matrix over K when every entry is constant, else None."""
-    out = []
-    for row in m.data:
-        r = []
-        for x in row:
-            if not x.is_constant:
-                return None
-            r.append(x.constant_term)
-        out.append(r)
-    return Matrix(out)
+    if not all(x.is_constant for row in m.data for x in row):
+        return None
+    return m.map(lambda x: x.constant_term)
 
 
 def laurent_matrix_inverse(m):

@@ -11,12 +11,13 @@ constructive proofs level by level, fixing every free constant to zero so
 results are reproducible.
 """
 
-from math import comb, factorial
+from functools import cache
+from math import comb, factorial, floor
 
 from .errors import DivisionByZero
 from .laurent import LaurentPoly, solve_partial_plus_a
 from .linalg import column_kernel
-from .ratio import Rat, rat_floor
+from .ratio import Rat
 from .scalar import Cyclotomic, ExponentClass, as_cyclotomic
 
 from . import scalar as _scalar  # gamma looked up at call time (see verify suite)
@@ -64,7 +65,7 @@ class GroupAlgElem:
     def t_power(cls, r):
         """t^r for rational r: class (r mod 1) with Laurent part t^floor(r)."""
         r = Rat(r)
-        m = rat_floor(r)
+        m = floor(r)
         return cls({ExponentClass(r - m): LaurentPoly.t_power(m)})
 
     # -- structure ---------------------------------------------------------
@@ -125,7 +126,7 @@ class GroupAlgElem:
         for a, f in self.parts.items():
             for b, g in other.parts.items():
                 s = a.value + b.value
-                spill = rat_floor(s)
+                spill = floor(s)
                 key = ExponentClass(s - spill)
                 prod = f * g
                 if spill:
@@ -348,20 +349,16 @@ class ExpRingElem:
 # binomial basis
 
 
-_BINOM_POLY_CACHE = {0: (Rat(1),)}
-
-
+@cache
 def binom_ell_poly(k):
     """Coefficients (ascending, in ell) of binom(ell, k) = ell(ell-1)...(ell-k+1)/k!."""
-    if k < 0:
-        return ()
-    if k not in _BINOM_POLY_CACHE:
-        prev = binom_ell_poly(k - 1)
-        # multiply by (ell - (k-1)) then divide by k
-        raised = (Rat(0),) + prev
-        shifted = tuple(c * Rat(-(k - 1)) for c in prev) + (Rat(0),)
-        _BINOM_POLY_CACHE[k] = tuple((a + b) / Rat(k) for a, b in zip(raised, shifted))
-    return _BINOM_POLY_CACHE[k]
+    if k <= 0:
+        return (Rat(1),) if k == 0 else ()
+    prev = binom_ell_poly(k - 1)
+    # multiply by (ell - (k-1)) then divide by k
+    raised = (Rat(0),) + prev
+    shifted = tuple(c * Rat(-(k - 1)) for c in prev) + (Rat(0),)
+    return tuple((a + b) / Rat(k) for a, b in zip(raised, shifted))
 
 
 def binom_ell(k):

@@ -122,15 +122,7 @@ def rand_constant_gauge(rng, dim):
 def rand_shearing_gauge(rng, sizes, dim):
     """diag(t^k_i) * P with |k_i| <= shear_bound and P constant invertible."""
     p = rand_invertible_constant(rng, dim)
-    d = Matrix(
-        [
-            [
-                LaurentPoly.t_power(rng.randint(-sizes.shear_bound, sizes.shear_bound))
-                if i == j
-                else LaurentPoly.zero()
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
+    d = Matrix.block_diag(
+        [Matrix([[LaurentPoly.t_power(rng.randint(-sizes.shear_bound, sizes.shear_bound))]]) for _ in range(dim)]
     )
     return d * p.map(LaurentPoly.from_scalar)

@@ -31,9 +31,11 @@ class LaurentPoly:
         data = {}
         if terms:
             for d, c in terms.items():
-                c = as_cyclotomic(c)
+                k, c = int(d), as_cyclotomic(c)
+                if k != d:
+                    raise ValueError(f"Laurent degree {d!r} is not an integer")
                 if not c.is_zero:
-                    data[int(d)] = c
+                    data[k] = c
         object.__setattr__(self, "terms", data)
 
     def __setattr__(self, *_):

@@ -37,7 +37,7 @@ from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .errors import DivisionByZero, EigenvalueNotFound, NonSquare
-from .ratio import Rat, is_int
+from .ratio import Rat
 from .scalar import (
     Cyclotomic,
     _common_numerators,
@@ -199,10 +199,6 @@ class Matrix:
         rows = [[one if j == p else -free[j][p] if j in free else zero for j in range(self.cols)] for p in pivots]
         rows += [[zero] * self.cols for _ in range(self.rows - len(pivots))]
         return Matrix(rows), pivots
-
-    def rank(self):
-        """cols minus the number of nullspace vectors, with no reduced rows."""
-        return self.cols - len(self.nullspace())
 
     def nullspace(self):
         """Deterministic kernel basis: column_kernel of the columns, one
@@ -779,7 +775,7 @@ def integer_eigenvalues(m):
     square-free degree of them), each multiplicity the number of nullspace
     vectors of M - r, formed by shifting the diagonal."""
     return [(int(r), len(m.shift(Cyclotomic.from_rat(-r)).nullspace()))
-            for r in rational_roots(charpoly(m)) if is_int(r)]
+            for r in rational_roots(charpoly(m)) if r.denominator == 1]
 
 
 # ---------------------------------------------------------------------------

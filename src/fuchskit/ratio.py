@@ -22,12 +22,3 @@ def rat_from_str(s):
 def rat_str(x):
     """Canonical reduced "p/q" (or "p") form."""
     return str(Rat(x))
-
-
-def is_int(x):
-    return x.denominator == 1
-
-
-def rat_floor(x):
-    # int() truncates toward zero; floor division on the parts is exact.
-    return int(x.numerator) // int(x.denominator)

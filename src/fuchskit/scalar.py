@@ -29,18 +29,15 @@ gamma_inverse reading p/q off the coordinates: the roots of unity in
 Q(zeta_N) are the +-zeta_N^j.
 """
 
-from math import gcd, lcm, prod
+from functools import cache
+from math import floor, gcd, lcm, prod
 from operator import add, attrgetter, sub
 
 from .errors import DivisionByZero, NonRationalExponent, NotRootOfUnity
-from .ratio import Rat, rat_floor, rat_from_str, rat_str
+from .ratio import Rat, rat_from_str, rat_str
 
 # ---------------------------------------------------------------------------
 # integer/polynomial utilities
-
-_PHI_CACHE = {}
-_CYCLO_CACHE = {}
-_ROOT_CACHE = {}
 
 
 def _is_probable_prime(n):
@@ -106,13 +103,12 @@ def _factorize(n):
     return factors
 
 
+@cache
 def euler_phi(n):
-    if n not in _PHI_CACHE:
-        result = n
-        for p in _factorize(n):
-            result -= result // p
-        _PHI_CACHE[n] = result
-    return _PHI_CACHE[n]
+    result = n
+    for p in _factorize(n):
+        result -= result // p
+    return result
 
 
 def divisors(n):
@@ -170,34 +166,33 @@ def _times_cyclotomic(series, factors, inverse=False):
     return series
 
 
+@cache
 def cyclotomic_polynomial(n):
     """Coefficients (ascending) of the n-th cyclotomic polynomial, as ints.
 
     Phi_n(x) = Phi_r(x^(n/r)) for r the product of the primes of n, and for
     r > 1, Phi_r is a power series cut at degree phi(r) (_times_cyclotomic).
     """
-    if n not in _CYCLO_CACHE:
-        primes = list(_factorize(n))
-        r = prod(primes)
-        poly = [-1, 1] if r == 1 else _times_cyclotomic([1] + [0] * euler_phi(r), _cyclotomic_factors(primes))
-        full = [0] * (n // r * (len(poly) - 1) + 1)
-        full[:: n // r] = poly
-        _CYCLO_CACHE[n] = tuple(full)
-    return _CYCLO_CACHE[n]
+    primes = list(_factorize(n))
+    r = prod(primes)
+    poly = [-1, 1] if r == 1 else _times_cyclotomic([1] + [0] * euler_phi(r), _cyclotomic_factors(primes))
+    full = [0] * (n // r * (len(poly) - 1) + 1)
+    full[:: n // r] = poly
+    return tuple(full)
 
 
+@cache
 def _prime_root(n, after=0):
     """The least prime l > after with l = 1 (mod n), and an element w of
-    order n in F_l."""
-    if (n, after) not in _ROOT_CACHE:
-        ell, primes = after + 1 + -after % n, _factorize(n)
-        while not _is_probable_prime(ell):
-            ell += n
-        h = 1  # w = h^((l - 1)/n) has order n when no w^(n/r) is 1
-        while any(pow(h, (ell - 1) // r, ell) == 1 for r in primes):
-            h += 1
-        _ROOT_CACHE[n, after] = ell, pow(h, (ell - 1) // n, ell)
-    return _ROOT_CACHE[n, after]
+    order n in F_l.  Callers pass after positionally, so that each (n, after)
+    is one cache entry."""
+    ell, primes = after + 1 + -after % n, _factorize(n)
+    while not _is_probable_prime(ell):
+        ell += n
+    h = 1  # w = h^((l - 1)/n) has order n when no w^(n/r) is 1
+    while any(pow(h, (ell - 1) // r, ell) == 1 for r in primes):
+        h += 1
+    return ell, pow(h, (ell - 1) // n, ell)
 
 
 def _value_mod(p, x, m):
@@ -580,7 +575,7 @@ class Cyclotomic:
         if len(nonzero) == 1 and num[nonzero[0]] in (1, -1):
             j, negated = nonzero[0], num[nonzero[0]] < 0
         else:
-            ell, w = _prime_root(n)
+            ell, w = _prime_root(n, 0)
             y = self._image(n, ell, w)
             minus_y, power = ell - y, 1
             for j in range(n):
@@ -664,7 +659,7 @@ class ExponentClass:
             v = rat_from_str(x)
         else:
             v = Rat(x)
-        v = v - rat_floor(v)
+        v = v - floor(v)
         object.__setattr__(self, "value", v)
 
     def __setattr__(self, *_):

@@ -8,6 +8,7 @@ deliberately broken ("mutant") implementation is caught by the suite.
 """
 
 import random
+from math import floor
 
 from . import jsonio
 from . import scalar as _scalar
@@ -19,6 +20,7 @@ from .diffmod import (
     expring_matrix_is_horizontal,
     ext_dim,
     fundamental_matrix,
+    invert_coordinate,
     is_horizontal_morphism,
     match_right_factor,
     rank_one,
@@ -41,6 +43,7 @@ from .generate import (
     rand_constant_module,
     rand_cyclotomic,
     rand_expring,
+    rand_invertible_constant,
     rand_laurent,
     rand_rat,
     rand_shearing_gauge,
@@ -48,9 +51,9 @@ from .generate import (
 )
 from .laurent import LaurentPoly, solve_partial_plus_a
 from .linalg import Matrix, charpoly, jordan_form
-from .ratio import Rat, rat_floor
+from .ratio import Rat
 from .scalar import Cyclotomic
-from .sigmamod import is_trivializing, isomorphism, trivialize
+from .sigmamod import SigmaModule, is_trivializing, isomorphism, trivialize
 
 
 def _fail(**info):
@@ -226,7 +229,7 @@ def prop_fundamental_horizontal(rng, sizes):
 
 def prop_ext_rank_one(rng, sizes):
     a, b = rand_rat(rng, sizes), rand_rat(rng, sizes)
-    expected = 1 if rat_floor(a - b) == a - b else 0
+    expected = 1 if floor(a - b) == a - b else 0
     if ext_dim(rank_one(a), rank_one(b)) != expected:
         return _fail(a=str(a), b=str(b))
 
@@ -243,11 +246,7 @@ def prop_trivialize_fixed(rng, sizes):
 
 def prop_jordan_classifies(rng, sizes):
     v = rand_sigma_module(rng, sizes, dim=rng.randint(1, 4))
-    from .generate import rand_invertible_constant
-
     t = rand_invertible_constant(rng, v.dim)
-    from .sigmamod import SigmaModule
-
     w = SigmaModule(t * v.monodromy * t.inverse())
     witness = isomorphism(v, w)
     if witness is None or witness * v.monodromy * witness.inverse() != w.monodromy:
@@ -309,8 +308,6 @@ def prop_tensor_dual_exponents(rng, sizes):
 
 
 def prop_invert_coordinate_negates(rng, sizes):
-    from .diffmod import invert_coordinate
-
     m = rand_constant_module(rng, sizes)
     if exponents(invert_coordinate(m)) != exponents(m).negated():
         return _fail(module=jsonio.encode_diffmodule(m))

@@ -1,5 +1,6 @@
 """CLI behavior: commands, determinism, exit codes, the mutant check."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from conftest import run_child
 
 from fuchskit import jsonio
-from fuchskit.cli import main
+from fuchskit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +275,48 @@ class TestExitCodes:
                               env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=2)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "InvalidInput"
+
+
+_DATA_OPTIONS = ("-h", "--help", "--input", "--json")
+_SEARCH_OPTIONS = _DATA_OPTIONS + ("--exponent-candidates", "--degree-bound")
+
+# (command, help, option strings), in the order the parser lists them
+PARSER_STRUCTURE = [
+    ("exponents", "multiset of exponents of a differential module", _SEARCH_OPTIONS),
+    ("mon", "monodromy representation of a differential module", _SEARCH_OPTIONS),
+    ("rm", "differential module attached to a representation of Z", _DATA_OPTIONS),
+    ("constant-form", "gauge to a constant connection matrix", _SEARCH_OPTIONS),
+    ("fuchs", "Fuchs decomposition: triangularizing gauge and rank-one factors", _SEARCH_OPTIONS),
+    ("solve", "solve d_sigma(x) = y or partial(x) = y in the exponent ring", _DATA_OPTIONS),
+    ("hom", "basis of horizontal morphisms between two modules", _SEARCH_OPTIONS),
+    ("ext", "dimension of the Yoneda extension group Ext(M, N)", _SEARCH_OPTIONS),
+    ("trivialize", "trivializing matrix of a representation over the exponent ring", _DATA_OPTIONS),
+    ("verify", "run the seeded property suites", ("-h", "--help", "--suite", "--seed", "--cases", "--max-dim")),
+]
+
+
+class TestParserStructure:
+    """The sub-commands, read off the parser itself: --help text wraps
+    differently across Python versions."""
+
+    @staticmethod
+    def subcommands():
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        helps = {a.dest: a.help for a in sub._choices_actions}
+        return [(name, helps[name], tuple(s for a in p._actions for s in a.option_strings))
+                for name, p in sub.choices.items()]
+
+    def test_commands_help_and_options(self):
+        assert self.subcommands() == PARSER_STRUCTURE
+
+    @pytest.mark.parametrize("command", [name for name, _, options in PARSER_STRUCTURE if "--input" in options])
+    def test_input_and_json_together_or_neither_is_two(self, capsys, tmp_path, command):
+        path = tmp_path / "in.json"
+        path.write_text("{}")
+        for argv in ([command, "--input", str(path), "--json", "{}"], [command]):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert json.loads(out)["error"]["type"] == "InvalidInput"
 
 
 class TestBeyondUnitRoots:

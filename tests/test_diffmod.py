@@ -60,7 +60,7 @@ def windowed_h1_oracle(module, bound=9):
     deficiency = 0
     for k in range(-bound, bound + 1):
         block = g + Matrix.identity(n).scale(C(k))
-        deficiency += n - block.rank()
+        deficiency += len(block.nullspace())
     return deficiency
 
 

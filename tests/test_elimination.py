@@ -87,7 +87,7 @@ class TestRrefAgainstDense:
                 dense_red, dense_pivots = dense_rref(m)
                 assert pivots == dense_pivots
                 assert_same_matrix(red, dense_red, kind)
-                assert m.rank() == len(dense_pivots)
+                assert m.cols - len(m.nullspace()) == len(dense_pivots)
                 assert_same_basis(m.nullspace(), dense_nullspace(m), same_labels=kind != "mixed3and4")
                 free += cols - len(pivots)
         assert free > 75  # the planted columns make many kernels nontrivial
@@ -96,7 +96,7 @@ class TestRrefAgainstDense:
         for rows, cols in [(1, 1), (1, 4), (3, 3), (5, 2)]:
             m = Matrix.zeros(rows, cols)
             assert m.rref() == (m, ())
-            assert m.rank() == 0
+            assert m.cols - len(m.nullspace()) == 0
             assert_same_basis(m.nullspace(), dense_nullspace(m))
 
     def test_free_column_entries_are_minus_the_kernel_coordinates(self):
@@ -287,7 +287,7 @@ class TestRouting:
     def test_matrix_methods(self, calls):
         m = Matrix([[ONE, Z3, I], [I, ONE, Z3]])
         square = Matrix([[ONE, Z3], [I, ONE]])
-        for make, n_cols in ((m.nullspace, 3), (m.rref, 3), (m.rank, 3), (square.inverse, 4)):
+        for make, n_cols in ((m.nullspace, 3), (m.rref, 3), (square.inverse, 4)):
             calls.clear()
             make()
             assert calls == [n_cols]

@@ -1,5 +1,7 @@
 """The exponent ring: derivation, monodromy, binomial basis, solvers."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +12,7 @@ from fuchskit.expring import (
     ExpRingElem,
     GroupAlgElem,
     binom_ell,
+    binom_ell_poly,
     from_binomial_basis,
     kernel_checks,
     solve_dsigma,
@@ -103,6 +106,16 @@ class TestBinomialBasis:
 
     def test_one(self):
         assert to_binomial_basis(E.one()) == [GroupAlgElem.one()]
+
+    def test_binom_poly_is_the_falling_product(self):
+        assert binom_ell_poly(-1) == () and binom_ell_poly(0) == (Rat(1),)
+        poly = [Rat(1)]  # ell (ell - 1) ... (ell - k + 1), ascending in ell
+        for k in range(1, 13):
+            poly = [a - (k - 1) * b for a, b in zip([Rat(0)] + poly, poly + [Rat(0)])]
+            assert binom_ell_poly(k) == tuple(c / factorial(k) for c in poly), k
+
+    def test_binom_poly_is_computed_once(self):
+        assert binom_ell_poly(40) is binom_ell_poly(40)
 
     @given(exprings())
     @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from fuchskit.diffmod import (
     dual,
     is_horizontal_morphism,
     laurent_matrix,
+    laurent_matrix_inverse,
     rank_one,
     tensor,
 )
@@ -186,6 +187,40 @@ class TestConstantForm:
     def test_default_candidates_from_t0_coefficient(self):
         m = DiffModule(laurent_matrix([[LaurentPoly({0: Rat(1, 2), 1: 1})]]))
         assert ExponentClass(Rat(1, 2)) in default_exponent_candidates(m)
+
+
+class TestTwoReadingsOfG:
+    """The library reads a nonconstant G two ways (README, "Which reading of
+    G"): base_change, find_constant_form and exponents act on rows w with
+    partial(w) + w G = 0; is_horizontal_morphism on columns v with
+    partial(v) + G v = 0.  The row module of G is the column module of G^T,
+    and for nonconstant G the two differ.  These tests pin both readings as
+    they are today."""
+
+    TWELFTHS = [ExponentClass(Rat(k, 12)) for k in range(12)]
+
+    def test_rows_find_a_constant_form_that_columns_do_not(self):
+        t = LaurentPoly.t_power(1)
+        g = base_change(DiffModule(laurent_matrix([[Rat(1, 3), 0], [0, Rat(1, 4)]])),
+                        laurent_matrix([[1, t], [t, 1 + t * t]]))
+        assert exponents(g, exponent_candidates=self.TWELFTHS, laurent_degree_bound=8) == multiset(
+            Rat(1, 4), Rat(1, 3))
+        with pytest.raises(NotFoundWithinBounds, match="found 0 independent horizontal sections"):
+            find_constant_form(DiffModule(g.matrix.transpose()), exponent_candidates=self.TWELFTHS,
+                               laurent_degree_bound=128)
+
+    def test_gauge_is_a_column_morphism_only_after_transposing(self):
+        t = LaurentPoly.t_power(1)
+        h = laurent_matrix([[1, t, 1], [0, 1, t], [0, 0, 1]])
+        assert h != h.transpose()
+        c = DiffModule.from_constant(Matrix.block_diag([jordan_block(Rat(1, 2), 2), Matrix([[C(Rat(1, 3))]])]))
+        g = base_change(c, h)
+        assert is_horizontal_morphism(h.transpose(), DiffModule(g.matrix.transpose()),
+                                      DiffModule(c.matrix.transpose()))
+        h_inv = laurent_matrix_inverse(h)
+        for f in (h, h_inv, h.transpose(), h_inv.transpose()):
+            assert not is_horizontal_morphism(f, c, g)
+            assert not is_horizontal_morphism(f, g, c)
 
 
 class TestFuchsDecomposition:

@@ -18,6 +18,7 @@ permutation oracle or the oracles' runs on seeded input.
 
 import json
 import random
+from math import floor
 
 import pytest
 
@@ -29,7 +30,7 @@ from fuchskit.expring import ExpRingElem, GroupAlgElem
 from fuchskit.generate import Sizes, rand_constant_module, rand_invertible_constant, rand_sigma_module
 from fuchskit.laurent import LaurentPoly
 from fuchskit.linalg import Matrix, _dot, _fused_label, charpoly, det_and_adjugate, det_cofactor, jordan_block
-from fuchskit.ratio import Rat, rat_floor
+from fuchskit.ratio import Rat
 from fuchskit.scalar import Cyclotomic, euler_phi, gamma
 from fuchskit.sigmamod import SigmaModule, trivialize
 
@@ -101,7 +102,7 @@ def expring_kernel(xs, ys, n):
             for a, f in h.parts.items():
                 for k2, b, g in parts:
                     s = a.value + b
-                    spill = rat_floor(s)
+                    spill = floor(s)
                     if spill:
                         s -= spill
                         g = LaurentPoly({d + spill: c for d, c in g.terms.items()})

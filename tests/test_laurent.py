@@ -97,6 +97,14 @@ class TestUnits:
         with pytest.raises(NotAUnit):
             f.unit_inverse()
 
+    def test_non_integral_degree_is_refused(self):
+        for terms in ({Rat(1, 2): 1, 0: 5}, {0: 5, 0.9: 1}):
+            with pytest.raises(ValueError):
+                LaurentPoly(terms)
+        with pytest.raises(ValueError):
+            LaurentPoly.t_power(Rat(3, 2))
+        assert LaurentPoly({Rat(4, 2): 3}).terms == {2: Cyclotomic.from_rat(3)}
+
     def test_substitute_inverse(self):
         f = LaurentPoly({2: 3, -1: 5})
         assert f.substitute_inverse() == LaurentPoly({-2: 3, 1: 5})

@@ -495,6 +495,18 @@ class TestNumberTheory:
         assert euler_phi(n) == 4 * (p - 1) * (q - 1)
         assert calls
 
+    def test_tables_compute_once_per_key(self, monkeypatch):
+        # keys no other test uses, so the first call computes
+        calls = []
+        factorize = scalar._factorize
+        monkeypatch.setattr(scalar, "_factorize", lambda n: calls.append(n) or factorize(n))
+        for fn, key in ((euler_phi, (7919 * 7927,)), (scalar.cyclotomic_polynomial, (3**7,)),
+                        (scalar._prime_root, (3**7, 10**6))):
+            first = fn(*key)
+            assert key[0] in calls, fn.__name__
+            seen = len(calls)
+            assert fn(*key) is first and len(calls) == seen, fn.__name__
+
     def test_image_matches_horner(self):
         # the Horner loop Cyclotomic._image ran before it called _value_mod
         def horner(c, m, ell, w):
